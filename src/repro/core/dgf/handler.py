@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.dgf import builder, fleet
 from repro.core.dgf.gfu import GFUValue, SliceLocation
-from repro.core.dgf.grid import GridSearchResult, search_grid
+from repro.core.dgf.grid import search_grid
 from repro.core.dgf.inputformat import DgfSliceInputFormat, slices_to_splits
 from repro.core.dgf.store import DgfStore
 from repro.errors import DGFError
@@ -166,8 +166,8 @@ class DgfIndexHandler(IndexHandler):
         with tracer.span("dgf.search_grid") as search_span:
             search = search_grid(policy, intervals, bounds,
                                  force_all_boundary=not agg_path)
-            search_span.add("inner_keys", len(search.inner_keys))
-            search_span.add("boundary_keys", len(search.boundary_keys))
+            search_span.add("inner_keys", search.num_inner)
+            search_span.add("boundary_keys", search.num_boundary)
 
         # Merge-on-read: resident streaming deltas overlapping the query
         # region become tombstone filters + synthetic delta splits.  The
@@ -182,8 +182,19 @@ class DgfIndexHandler(IndexHandler):
                 merge_span.add("delta.rows", overlay.num_rows)
                 merge_span.add("delta.suppressed", overlay.num_suppressed)
 
-        inner_keys, boundary_keys, suppressed = demote_suppressed_cells(
-            search.inner_keys, search.boundary_keys, overlay, agg_path)
+        # Key strings are built only for the reads that need them: the
+        # tombstone demotion below, the flat inner-header fetch and the
+        # boundary slices.  Everything else works on counts and the box.
+        num_inner = search.num_inner
+        suppressed: List[str] = []
+        inner_keys: Optional[List[str]] = None
+        boundary_keys: Optional[List[str]] = None
+        if (overlay is not None and agg_path and overlay.has_suppression
+                and num_inner):
+            inner_keys, boundary_keys, suppressed = demote_suppressed_cells(
+                search.inner_keys, search.boundary_keys, overlay, agg_path)
+            num_inner = len(inner_keys)
+        num_boundary = search.num_cells - num_inner
 
         # Aggregation pyramid (src/repro/pyramid/): when the chosen layout
         # has a built pyramid, answer the inner region from O(polylog)
@@ -195,12 +206,12 @@ class DgfIndexHandler(IndexHandler):
         # the flat path records it.
         pyramid_values = None
         pyramid_stats: Dict[str, int] = {}
-        if agg_path and ctx.use_pyramid and inner_keys:
+        if agg_path and ctx.use_pyramid and num_inner:
             from repro import pyramid as pyr
             plevels = pyr.pyramid_levels(index, layout_name)
             if plevels:
                 fanout = pyr.pyramid_fanout(index)
-                cover = pyr.decompose_region(policy, search.inner_keys,
+                cover = pyr.decompose_region(policy, search.inner_box,
                                              suppressed, fanout, plevels)
                 if cover is not None:
                     pstore = pyr.pyramid_store(session, table.name,
@@ -225,11 +236,13 @@ class DgfIndexHandler(IndexHandler):
                     # per inner cell, hit count equal to the present
                     # cells the nodes summarize.  The physical reads
                     # already happened inside the ``dgf.pyramid`` span.
-                    session.kvstore.note_cached_gets(len(inner_keys))
+                    session.kvstore.note_cached_gets(num_inner)
                     inner_hits = pyramid_stats["inner_hits"]
                     header_states = self._merge_headers(ctx.agg_keys,
                                                         pyramid_values)
                 else:
+                    if inner_keys is None:
+                        inner_keys = search.inner_keys
                     inner_values = store.multi_get(inner_keys)
                     inner_hits = len(inner_values)
                     header_states = self._merge_headers(
@@ -237,6 +250,8 @@ class DgfIndexHandler(IndexHandler):
                 inner_span.add("gfus", inner_hits)
                 inner_span.add("headers_merged", len(header_states))
             with tracer.span("dgf.boundary_slices") as boundary_span:
+                if boundary_keys is None:
+                    boundary_keys = search.boundary_keys
                 boundary_values = store.multi_get(boundary_keys)
                 boundary_hits = len(boundary_values)
                 for value in boundary_values.values():
@@ -264,7 +279,7 @@ class DgfIndexHandler(IndexHandler):
         # and concurrent queries cannot pollute each other's accounting.
         # The overlay adds its own deterministic probe count (delta cell +
         # base watermark per candidate cell).
-        probes = len(inner_keys) + len(boundary_keys)
+        probes = num_inner + num_boundary
         input_format = DgfSliceInputFormat(read_table)
         description = (f"dgf({index.name}) "
                        f"mode={'agg-headers' if agg_path else 'slices'} "
@@ -365,27 +380,25 @@ class DgfIndexHandler(IndexHandler):
                     cstore, cpolicy, cbounds, _view = candidates[name]
                     search = search_grid(cpolicy, intervals, cbounds,
                                          force_all_boundary=not agg_path)
-                    probes = (len(search.inner_keys)
-                              + len(search.boundary_keys))
+                    probes = search.num_cells
                     # Pyramid-aware routing: a layout with a built
                     # pyramid answers its inner region in O(polylog)
                     # probes, so fine grids are costed honestly.  Only
                     # active once a pyramid exists — fleet scores (and
                     # the ``score.*`` span attributes) are unchanged
                     # until then.
-                    if agg_path and search.inner_keys:
+                    if agg_path and search.num_inner:
                         from repro import pyramid as pyr
                         plevels = pyr.pyramid_levels(index, name)
                         if plevels:
                             cover = pyr.decompose_region(
-                                cpolicy, search.inner_keys, (),
+                                cpolicy, search.inner_box, (),
                                 pyr.pyramid_fanout(index), plevels)
                             if cover is not None:
-                                probes = (len(search.boundary_keys)
-                                          + cover.probes)
+                                probes = search.num_boundary + cover.probes
                     stats = cstore.get_meta(fleet.STATS_META)
                     per_gfu = max(1, stats["gfus"])
-                    scan_cells = len(search.boundary_keys)
+                    scan_cells = search.num_boundary
                     scores[name] = session.cost_model.layout_route_seconds(
                         probes,
                         scan_cells * stats["records"] / per_gfu,

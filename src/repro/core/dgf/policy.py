@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DGFError
@@ -78,8 +79,12 @@ class DimensionPolicy:
             return int(round(coord))
         return coord
 
-    @property
+    @cached_property
     def _origin_coord(self) -> float:
+        # Computed once per policy: for DATE origins ``to_coord`` parses
+        # the ISO string.  ``cached_property`` stores into the instance
+        # ``__dict__`` directly, so it works on this frozen dataclass and
+        # leaves equality, hashing and ``to_dict`` (fields only) alone.
         return self.to_coord(self.origin)
 
     # ---------------------------------------------------------------- cells

@@ -1,10 +1,11 @@
 """Greedy decomposition of an inner region into maximal pyramid nodes.
 
 Algorithm 3 gives the query's inner region as an axis-aligned box of
-grid cells.  :func:`cover_box` covers that box with the largest aligned
-pyramid blocks that fit entirely inside it (k²-tree style), dropping to
-level-0 cells only at the misaligned fringe — O(polylog) probes instead
-of one probe per inner cell.  :func:`resolve_cover` then fetches the
+grid cells, in integer cell coordinates.  :func:`cover_box` covers that
+box with the largest aligned pyramid blocks that fit entirely inside it
+(k²-tree style), dropping to level-0 cells only at the misaligned
+fringe — O(polylog) probes instead of one probe per inner cell, found
+by walking only the blocks that meet the box.  :func:`resolve_cover` then fetches the
 cover, recursing through ``demoted`` markers down to base GFU entries,
 and returns the header-bearing values in canonical coordinate order so
 the handler's float folds stay deterministic.
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.dgf.policy import SplittingPolicy
 from repro.pyramid.build import cell_coords, children_of
@@ -57,58 +57,57 @@ def cover_box(lo: Coords, hi: Coords, blocked: FrozenSet[Coords],
     nodes: List[NodeId] = []
     leaves: List[Coords] = []
 
+    def overlapping_children(block: Coords, child_size: int):
+        # Per axis, only the children whose extent meets the box: the
+        # walk never visits a block outside it.
+        return product(*[range(max(b * fanout, l // child_size),
+                               min(b * fanout + fanout - 1,
+                                   h // child_size) + 1)
+                         for b, l, h in zip(block, lo, hi)])
+
     def recurse(level: int, block: Coords) -> None:
-        size = fanout ** level
-        region_lo = tuple(b * size for b in block)
-        region_hi = tuple(b * size + size - 1 for b in block)
-        if any(rlo > h or rhi < l for rlo, rhi, l, h
-               in zip(region_lo, region_hi, lo, hi)):
-            return
-        if level == 0:
+        if level == 0:  # only when the pyramid has no levels at all
             if block not in blocked:
                 leaves.append(block)
             return
-        inside = all(l <= rlo and rhi <= h for rlo, rhi, l, h
-                     in zip(region_lo, region_hi, lo, hi))
-        if inside and not any(
-                all(rlo <= b <= rhi for rlo, rhi, b
-                    in zip(region_lo, region_hi, cell))
+        size = fanout ** level
+        if all(l <= b * size and b * size + size - 1 <= h
+               for b, l, h in zip(block, lo, hi)) and not any(
+                all(b * size <= c <= b * size + size - 1
+                    for b, c in zip(block, cell))
                 for cell in blocked):
             nodes.append((level, block))
             return
-        for child in children_of(block, fanout):
+        if level == 1:
+            leaves.extend(cell for cell in overlapping_children(block, 1)
+                          if cell not in blocked)
+            return
+        for child in overlapping_children(block, size // fanout):
             recurse(level - 1, child)
 
     top = fanout ** levels
     for block in product(*[range(l // top, h // top + 1)
                            for l, h in zip(lo, hi)]):
-        recurse(levels, tuple(block))
+        recurse(levels, block)
     return nodes, leaves
 
 
 def decompose_region(policy: SplittingPolicy,
-                     inner_keys: Sequence[str],
+                     inner_box: Optional[Tuple[Coords, Coords]],
                      blocked_keys: Iterable[str],
                      fanout: int, levels: int) -> Optional[PyramidCover]:
-    """Cover the inner region named by ``inner_keys`` (the full box the
-    grid search produced, *before* tombstone demotion) with maximal
-    pyramid nodes, keeping ``blocked_keys`` cells out of every node.
+    """Cover the inclusive inner cell box ``inner_box = (lo, hi)`` (the
+    box the grid search produced, *before* tombstone demotion) with
+    maximal pyramid nodes, keeping ``blocked_keys`` cells out of every
+    node.
 
-    Returns ``None`` when the keys do not form a full axis-aligned box
-    (never the case for Algorithm 3 output; kept as a safe fallback to
-    the flat header path).
+    Only the blocked keys are mapped back to cell coordinates, so the
+    cost is O(blocked + probes), independent of the box's volume.
+    Returns ``None`` when there is no inner box or no built pyramid.
     """
-    if not inner_keys or levels <= 0:
+    if inner_box is None or levels <= 0:
         return None
-    coords = [cell_coords(policy, key) for key in inner_keys]
-    dims = len(policy.dimensions)
-    lo = tuple(min(c[axis] for c in coords) for axis in range(dims))
-    hi = tuple(max(c[axis] for c in coords) for axis in range(dims))
-    volume = 1
-    for l, h in zip(lo, hi):
-        volume *= h - l + 1
-    if volume != len(set(coords)):
-        return None
+    lo, hi = inner_box
     blocked = frozenset(cell_coords(policy, key) for key in blocked_keys)
     nodes, leaves = cover_box(lo, hi, blocked, fanout, levels)
     return PyramidCover(nodes=nodes, leaves=leaves, levels=levels)

@@ -40,14 +40,7 @@ class DataType(Enum):
         return str(value)
 
     def validate(self, value: Any) -> None:
-        ok = {
-            DataType.INT: lambda v: isinstance(v, int),
-            DataType.BIGINT: lambda v: isinstance(v, int),
-            DataType.DOUBLE: lambda v: isinstance(v, (int, float)),
-            DataType.STRING: lambda v: isinstance(v, str),
-            DataType.DATE: lambda v: isinstance(v, str) and _is_iso_date(v),
-        }[self](value)
-        if not ok:
+        if not _VALIDATORS[self](value):
             raise SchemaError(f"value {value!r} is not a valid {self.value}")
 
     @property
@@ -61,6 +54,16 @@ def _is_iso_date(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+#: per-type value check behind :meth:`DataType.validate`
+_VALIDATORS = {
+    DataType.INT: lambda v: isinstance(v, int),
+    DataType.BIGINT: lambda v: isinstance(v, int),
+    DataType.DOUBLE: lambda v: isinstance(v, (int, float)),
+    DataType.STRING: lambda v: isinstance(v, str),
+    DataType.DATE: lambda v: isinstance(v, str) and _is_iso_date(v),
+}
 
 
 def date_to_ordinal(text: str) -> int:

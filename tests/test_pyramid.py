@@ -9,13 +9,18 @@ metadata-cache coherence of pyramid nodes, and the cost-model / what-if
 pyramid probe estimates the router and advisor consume.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import pyramid as pyr
 from repro.core.dgf.handler import demote_suppressed_cells
 from repro.errors import IndexError_
 from repro.hive.session import HiveSession, QueryOptions
 from repro.mapreduce.cost import CostModel
+from repro.pyramid.build import children_of
 from repro.pyramid import (DEFAULT_FANOUT, PyramidNode, PyramidStore,
                            cover_box, decompose_region, fold_children,
                            levels_for_extent, node_key, parse_node_key,
@@ -105,6 +110,58 @@ def test_cover_box_blocked_cells_are_excluded():
     assert (2, 2) not in covered
     assert covered == {(x, y) for x in range(4) for y in range(4)
                        if (x, y) != (2, 2)}
+
+
+def reference_cover_box(lo, hi, blocked, fanout, levels):
+    """The cover walk as first written: visit every child of every
+    partially covered block and reject the ones outside the box."""
+    nodes, leaves = [], []
+
+    def recurse(level, block):
+        size = fanout ** level
+        region_lo = tuple(b * size for b in block)
+        region_hi = tuple(b * size + size - 1 for b in block)
+        if any(rlo > h or rhi < l for rlo, rhi, l, h
+               in zip(region_lo, region_hi, lo, hi)):
+            return
+        if level == 0:
+            if block not in blocked:
+                leaves.append(block)
+            return
+        inside = all(l <= rlo and rhi <= h for rlo, rhi, l, h
+                     in zip(region_lo, region_hi, lo, hi))
+        if inside and not any(
+                all(rlo <= b <= rhi for rlo, rhi, b
+                    in zip(region_lo, region_hi, cell))
+                for cell in blocked):
+            nodes.append((level, block))
+            return
+        for child in children_of(block, fanout):
+            recurse(level - 1, child)
+
+    top = fanout ** levels
+    for block in itertools.product(*[range(l // top, h // top + 1)
+                                     for l, h in zip(lo, hi)]):
+        recurse(levels, tuple(block))
+    return nodes, leaves
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=st.integers(1, 3).flatmap(lambda dims: st.lists(
+           st.tuples(st.integers(-9, 20), st.integers(0, 12)),
+           min_size=dims, max_size=dims)),
+       fanout=st.integers(2, 3), levels=st.integers(0, 4),
+       data=st.data())
+def test_cover_box_matches_reference_walk(box, fanout, levels, data):
+    """Same nodes and leaves, in the same order, as the walk that visits
+    every child; only the blocks outside the box are skipped."""
+    lo = tuple(start for start, _width in box)
+    hi = tuple(start + width for start, width in box)
+    blocked = frozenset(data.draw(st.lists(
+        st.tuples(*[st.integers(l, h) for l, h in zip(lo, hi)]),
+        max_size=3)))
+    assert cover_box(lo, hi, blocked, fanout, levels) == \
+        reference_cover_box(lo, hi, blocked, fanout, levels)
 
 
 def test_fold_children_merges_headers_and_counts():
@@ -458,25 +515,21 @@ def test_whatif_prices_fine_grids_cheaper_with_pyramid():
                                                                  fine)
 
 
-def test_decompose_region_requires_full_box():
+def test_decompose_region_covers_inner_box():
     session = make_session()
     session.build_pyramid(TABLE, INDEX)
     store = session.dgf_store(TABLE, INDEX)
     policy = store.load_policy()
-    keys = [key for key, _v in store.iter_entries()]
-    cover = decompose_region(policy, keys[:3] + keys[5:6], (), 2, 5)
-    # An arbitrary subset is almost surely not an axis-aligned box.
-    if cover is not None:
-        coords = sorted(pyr.cell_coords(policy, k)
-                        for k in keys[:3] + keys[5:6])
-        lo = tuple(min(c[d] for c in coords) for d in range(2))
-        hi = tuple(max(c[d] for c in coords) for d in range(2))
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= b - a + 1
-        assert volume == 4
-    assert decompose_region(policy, [], (), 2, 5) is None
-    assert decompose_region(policy, keys[:4], (), 2, 0) is None
+    box = ((1, 1), (6, 6))
+    blocked = policy.key_of_cells((2, 2))
+    cover = decompose_region(policy, box, [blocked], 2, 3)
+    assert (cover.nodes, cover.leaves) == \
+        cover_box((1, 1), (6, 6), frozenset({(2, 2)}), 2, 3)
+    assert cover.levels == 3
+    assert cover.probes == len(cover.nodes) + len(cover.leaves)
+    # No inner box, or no built pyramid: nothing to cover.
+    assert decompose_region(policy, None, (), 2, 5) is None
+    assert decompose_region(policy, box, (), 2, 0) is None
 
 
 def test_resolve_cover_matches_flat_fold():
@@ -489,7 +542,7 @@ def test_resolve_cover_matches_flat_fold():
              if 1 <= pyr.cell_coords(policy, k)[0] <= 20
              and 2 <= pyr.cell_coords(policy, k)[1] <= 11]
     index = session.metastore.get_index(TABLE, INDEX)
-    cover = decompose_region(policy, inner, (), 2,
+    cover = decompose_region(policy, ((1, 2), (20, 11)), (), 2,
                              pyramid_levels(index, None))
     assert cover is not None
     pstore = pyramid_store(session, TABLE, INDEX)
