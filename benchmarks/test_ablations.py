@@ -34,7 +34,7 @@ class TestAdvisor:
         history = [meter_lab.intervals_for(s) for s in (0.05, 0.12)]
         sample = meter_lab.rows[::max(1, len(meter_lab.rows) // 1000)]
         policy = benchmark.pedantic(
-            lambda: advisor.recommend(sample, history),
+            lambda: advisor.advise(sample, history).policy,
             rounds=3, iterations=1)
         assert len(policy) == 3
 

@@ -3,7 +3,7 @@ first ``BENCH_*.json`` perf-trajectory file.
 
 Measures the Fig. 8–10 aggregation and TPC-H Q6 scan workloads at the
 labs' full default scale (80k meter readings, 12k orders), row engine vs
-``ExecutionConfig(vectorized=True)``, via
+a ``vectorized=True`` session, via
 ``repro.bench.experiments.vectorized_speedup``.  Two quantities per
 workload:
 

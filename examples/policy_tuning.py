@@ -71,7 +71,7 @@ def main():
     advisor = PolicyAdvisor(
         METER_SCHEMA, ["userid", "regionid", "ts"],
         records_per_unit_volume=len(rows) * config.data_scale)
-    policy = advisor.recommend(rows[::16], history)
+    policy = advisor.advise(rows[::16], history).policy
     properties = PolicyAdvisor.properties_for(policy)
     print(f"  advisor chose: {properties}")
 

@@ -27,8 +27,6 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record of every table and figure.
 """
 
-import warnings
-
 from repro.api import (Advice, Advisor, Connection, Cursor, apilevel,
                        connect, paramstyle, threadsafety)
 from repro.hive.plan import Plan
@@ -37,8 +35,7 @@ from repro.core.dgf import (DgfIndexHandler, DimensionPolicy, PolicyAdvisor,
                             SplittingPolicy, add_precompute,
                             append_with_dgf)
 from repro.core.dgf.advisor import AdvisorReport
-from repro.mapreduce.cluster import (PAPER_CLUSTER, ClusterConfig,
-                                     ExecutionConfig)
+from repro.mapreduce.cluster import PAPER_CLUSTER, ClusterConfig
 from repro.mapreduce.cost import CostModel, TimeBreakdown
 from repro.service import GfuMetadataCache, QueryLog, QueryService
 
@@ -63,8 +60,6 @@ __all__ = [
     "Advice",
     "AdvisorReport",
     "QueryLog",
-    # deprecated alias (import path kept; see __getattr__)
-    "HiveSession",
     # index machinery
     "DgfIndexHandler",
     "DimensionPolicy",
@@ -74,24 +69,9 @@ __all__ = [
     "append_with_dgf",
     # cluster / cost model
     "ClusterConfig",
-    "ExecutionConfig",
     "PAPER_CLUSTER",
     "CostModel",
     "TimeBreakdown",
     "__version__",
 ]
 
-
-def __getattr__(name):
-    # Deprecation shim: ``from repro import HiveSession`` keeps working but
-    # steers callers to the stable facade.  The class itself is unchanged
-    # and importable directly from repro.hive.session without a warning.
-    if name == "HiveSession":
-        warnings.warn(
-            "importing HiveSession from the top-level 'repro' package is "
-            "deprecated; use repro.connect() (see docs/api.md) or import "
-            "it from repro.hive.session",
-            DeprecationWarning, stacklevel=2)
-        from repro.hive.session import HiveSession
-        return HiveSession
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,11 +32,9 @@ Three layers each own their knobs, and this module plumbs all of them:
   ``execute(..., options=...)`` as an instance or a plain dict
   (``{"dgf_layout": "fine"}``): index choice, the header-path ablation,
   replica-layout pinning, reducer counts.
-* **Engine, per session** — :class:`~repro.mapreduce.cluster
-  .ExecutionConfig`, fixed at :func:`connect` time (``execution=...`` or
-  the ``vectorized=`` / ``engine_workers=`` shorthands): real in-process
-  task parallelism and the vectorized scan path.  Results are
-  byte-identical for every setting, so these never appear per query.
+* **Engine, per session** — ``vectorized=``, fixed at :func:`connect`
+  time: the columnar scan path.  Results are byte-identical either way,
+  so it never appears per query.
 * **Service, per connection** — ``max_workers=`` / ``queue_depth=`` size
   :attr:`Connection.service`'s admission queue and worker pool.
 
@@ -58,8 +56,7 @@ from repro.hive.plan import Plan
 from repro.hive.session import HiveSession, QueryOptions, QueryResult
 from repro.service.advisor import Advisor
 from repro.kvstore.hbase import KVStore
-from repro.mapreduce.cluster import (PAPER_CLUSTER, ClusterConfig,
-                                     ExecutionConfig)
+from repro.mapreduce.cluster import PAPER_CLUSTER, ClusterConfig
 from repro.service.cache import GfuMetadataCache
 from repro.service.queryservice import DEFAULT_QUEUE_DEPTH, QueryService
 
@@ -88,12 +85,10 @@ _QUERY_OPTION_FIELDS = tuple(
 
 #: knobs users reach for in the wrong layer, and where they live
 _MISPLACED_KNOBS = {
-    "vectorized": "connect(vectorized=...) — an engine (ExecutionConfig) "
-                  "knob fixed per session",
+    "vectorized": "connect(vectorized=...) — an engine knob fixed per "
+                  "session",
     "max_workers": "connect(max_workers=...) — a service-pool knob fixed "
                    "per connection",
-    "engine_workers": "connect(engine_workers=...) — an engine "
-                      "(ExecutionConfig) knob fixed per session",
     "queue_depth": "connect(queue_depth=...) — a service-pool knob fixed "
                    "per connection",
 }
@@ -129,9 +124,7 @@ def _coerce_options(options: Union[None, QueryOptions, Mapping[str, Any]]
 def connect(*, data_scale: float = 1.0,
             num_datanodes: int = 4,
             cluster: ClusterConfig = PAPER_CLUSTER,
-            execution: Optional[ExecutionConfig] = None,
-            vectorized: Optional[bool] = None,
-            engine_workers: Optional[int] = None,
+            vectorized: bool = False,
             cache: Union[bool, GfuMetadataCache] = True,
             max_workers: int = 1,
             queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -144,11 +137,8 @@ def connect(*, data_scale: float = 1.0,
     cache, False = disabled, or pass a shared instance).  ``max_workers``
     sizes the connection's query service; 1 (the default) runs statements
     on the calling thread and only starts service workers when
-    :attr:`Connection.service` is first used.
-
-    ``vectorized`` / ``engine_workers`` are shorthands for the matching
-    :class:`ExecutionConfig` fields (``vectorized`` / ``max_workers``),
-    merged into ``execution``; see the module docstring for which layer
+    :attr:`Connection.service` is first used.  ``vectorized`` runs eligible
+    scans on the columnar engine; see the module docstring for which layer
     owns which knob.
     """
     if unknown:
@@ -158,21 +148,12 @@ def connect(*, data_scale: float = 1.0,
         detail = ("; " + "; ".join(hints)) if hints else ""
         raise TypeError(
             f"connect() got unknown keyword(s) {sorted(unknown)}; "
-            f"session/engine knobs are execution=/vectorized="
-            f"/engine_workers=, service knobs are max_workers="
-            f"/queue_depth=" + detail)
-    if vectorized is not None or engine_workers is not None:
-        overrides = {}
-        if vectorized is not None:
-            overrides["vectorized"] = vectorized
-        if engine_workers is not None:
-            overrides["max_workers"] = engine_workers
-        execution = dataclasses.replace(execution or ExecutionConfig(),
-                                        **overrides)
+            f"session/engine knobs are vectorized=/cache=, service "
+            f"knobs are max_workers=/queue_depth=" + detail)
     session = HiveSession(fs=fs, kvstore=kvstore, cluster=cluster,
                           data_scale=data_scale,
                           num_datanodes=num_datanodes,
-                          execution=execution, cache=cache)
+                          vectorized=vectorized, cache=cache)
     return Connection(session, max_workers=max_workers,
                       queue_depth=queue_depth)
 

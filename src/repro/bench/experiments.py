@@ -411,61 +411,6 @@ def tpch_q6(lab: TpchLab) -> ExpResult:
         data=data)
 
 
-# ------------------------------------------------ parallel engine speedup
-def parallel_speedup(lab: MeterLab, workers: int = 4,
-                     rounds: int = 3) -> ExpResult:
-    """Wall-clock of the Fig. 8 aggregation under both engine modes.
-
-    This measures the *reproduction's own* runtime, not simulated paper
-    seconds: a full-scan aggregation (the heaviest map phase in the meter
-    workload) is executed on a sequential session and on a thread-pool
-    session, ``rounds`` times each, and the minimum wall time per mode is
-    reported.  Rows must be identical — the parallel engine is only
-    interesting because it changes nothing but elapsed time.  With
-    CPython's GIL the pool mostly overlaps bookkeeping, so the honest
-    claim (and the asserted one in ``benchmarks/test_parallel_speedup.py``)
-    is "no slower", not a core-count speedup.
-    """
-    import time as _time
-
-    from repro.mapreduce.cluster import ExecutionConfig
-
-    sql = lab.query_sql("agg", 0.12)
-    options = QueryOptions(use_index=False)
-    modes = [("sequential", None),
-             (f"parallel({workers})",
-              ExecutionConfig(max_workers=workers))]
-    timings: Dict[str, float] = {}
-    answers: Dict[str, Any] = {}
-    for label, execution in modes:
-        session = lab.session_with_execution(execution)
-        best = float("inf")
-        for _ in range(rounds):
-            started = _time.perf_counter()
-            result = session.execute(sql, options)
-            best = min(best, _time.perf_counter() - started)
-        timings[label] = best
-        answers[label] = result.rows
-    sequential_label = modes[0][0]
-    parallel_label = modes[1][0]
-    _check_close(answers[sequential_label][0][0],
-                 answers[parallel_label][0][0],
-                 "parallel_speedup: engines disagree")
-    speedup = timings[sequential_label] / timings[parallel_label]
-    rows = [(label, round(seconds * 1000.0, 1),
-             round(timings[sequential_label] / seconds, 2))
-            for label, seconds in timings.items()]
-    return ExpResult(
-        exp_id="parallel-speedup",
-        title="Real engine wall-clock: sequential vs thread pool",
-        headers=["mode", "best wall ms", "speedup vs sequential"],
-        rows=rows,
-        notes=(f"min of {rounds} rounds; identical rows asserted; "
-               "simulated paper seconds are unaffected by engine mode."),
-        data={"timings": dict(timings), "speedup": speedup,
-              "workers": workers})
-
-
 # --------------------------------------------- vectorized engine speedup
 def _scan_pipeline_timings(session, sql: str, rounds: int
                            ) -> Tuple[float, float]:
@@ -536,12 +481,12 @@ def _scan_pipeline_timings(session, sql: str, rounds: int
 
 def vectorized_speedup(meter_lab: MeterLab, tpch_lab: TpchLab,
                        rounds: int = 5) -> ExpResult:
-    """Wall-clock win of ``ExecutionConfig(vectorized=True)`` on the
+    """Wall-clock win of a ``vectorized=True`` session on the
     Fig. 8–10 aggregation and TPC-H Q6 (Fig. 18) scan workloads.
 
-    Like :func:`parallel_speedup` this measures the *reproduction's own*
-    runtime (simulated paper seconds are byte-identical by the
-    differential-harness guarantee).  Two quantities per workload:
+    This measures the *reproduction's own* runtime, not simulated paper
+    seconds (those are byte-identical by the differential-harness
+    guarantee).  Two quantities per workload:
 
     * ``end_to_end`` — full ``session.execute`` wall-clock, row engine vs
       vectorized engine, interleaved rounds, best of each.  Includes
@@ -556,7 +501,6 @@ def vectorized_speedup(meter_lab: MeterLab, tpch_lab: TpchLab,
     """
     import time as _time
 
-    from repro.mapreduce.cluster import ExecutionConfig
     from repro.vector import runtime as vector_runtime
 
     if vector_runtime.numpy_module() is None:
@@ -569,12 +513,10 @@ def vectorized_speedup(meter_lab: MeterLab, tpch_lab: TpchLab,
             data={"workloads": {}, "rounds": rounds})
 
     options = QueryOptions(use_index=False)
-    meter_row = meter_lab.session_with_execution(None)
-    meter_vec = meter_lab.session_with_execution(
-        ExecutionConfig(vectorized=True))
-    tpch_row = tpch_lab.session_with_execution(None)
-    tpch_vec = tpch_lab.session_with_execution(
-        ExecutionConfig(vectorized=True))
+    meter_row = meter_lab.fresh_scan_session()
+    meter_vec = meter_lab.fresh_scan_session(vectorized=True)
+    tpch_row = tpch_lab.fresh_scan_session()
+    tpch_vec = tpch_lab.fresh_scan_session(vectorized=True)
     workloads = [(f"meter agg {_sel_label(sel)}", meter_row, meter_vec,
                   meter_lab.query_sql("agg", sel))
                  for sel in ("point", 0.05, 0.12)]

@@ -77,17 +77,17 @@ class MeterLab:
         self._hadoopdb: Optional[HadoopDB] = None
 
     # ------------------------------------------------------------- sessions
-    def _new_session(self, execution=None) -> HiveSession:
+    def _new_session(self, vectorized: bool = False) -> HiveSession:
         session = HiveSession(data_scale=self.data_scale,
-                              execution=execution)
+                              vectorized=vectorized)
         session.fs.block_size = self.config.block_bytes
         return session
 
-    def session_with_execution(self, execution=None) -> HiveSession:
-        """A fresh, *uncached* TEXTFILE session on the given
-        :class:`~repro.mapreduce.cluster.ExecutionConfig` — used by the
-        parallel-speedup benchmark to compare engine modes on equal data."""
-        session = self._new_session(execution)
+    def fresh_scan_session(self, vectorized: bool = False) -> HiveSession:
+        """A fresh, *uncached* TEXTFILE session on the row or the columnar
+        engine — used by the vectorized-speedup benchmark to compare
+        engine modes on equal data."""
+        session = self._new_session(vectorized)
         self._load_meter(session, "TEXTFILE")
         return session
 
@@ -127,16 +127,13 @@ class MeterLab:
             self._dgf[case] = self.fresh_dgf_session(case)
         return self._dgf[case]
 
-    def fresh_dgf_session(self, case: str, *, faults=None,
-                          execution=None) -> HiveSession:
+    def fresh_dgf_session(self, case: str, *, faults=None) -> HiveSession:
         """A fresh, *uncached* DGF session — same data, chunking and index
         DDL as :meth:`dgf_session`, but never shared, so callers may wire
-        in a :class:`~repro.faults.FaultPlan` or a custom
-        :class:`~repro.mapreduce.cluster.ExecutionConfig` without
-        perturbing the cached sessions other experiments compare against
-        (the recovery-overhead benchmark does both)."""
-        session = HiveSession(data_scale=self.data_scale,
-                              execution=execution, faults=faults)
+        in a :class:`~repro.faults.FaultPlan` without perturbing the
+        cached sessions other experiments compare against (the
+        recovery-overhead benchmark does)."""
+        session = HiveSession(data_scale=self.data_scale, faults=faults)
         session.fs.block_size = self.config.block_bytes
         self._load_meter(session, "TEXTFILE")
         session.execute(self._dgf_ddl(case))
@@ -254,18 +251,16 @@ class TpchLab:
         self._dgf: Optional[HiveSession] = None
         self._compact: Optional[HiveSession] = None
 
-    def _new_session(self, execution=None) -> HiveSession:
+    def _new_session(self, vectorized: bool = False) -> HiveSession:
         session = HiveSession(data_scale=self.data_scale,
-                              execution=execution)
+                              vectorized=vectorized)
         session.fs.block_size = self.config.block_bytes
         return session
 
-    def session_with_execution(self, execution=None) -> HiveSession:
-        """A fresh, *uncached* TEXTFILE session on the given
-        :class:`~repro.mapreduce.cluster.ExecutionConfig` — used by the
-        vectorized-speedup benchmark to compare engine modes on equal
-        data (mirrors :meth:`MeterLab.session_with_execution`)."""
-        session = self._new_session(execution)
+    def fresh_scan_session(self, vectorized: bool = False) -> HiveSession:
+        """A fresh, *uncached* TEXTFILE session on the row or the columnar
+        engine (mirrors :meth:`MeterLab.fresh_scan_session`)."""
+        session = self._new_session(vectorized)
         self._load(session, "TEXTFILE")
         return session
 

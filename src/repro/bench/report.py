@@ -69,8 +69,6 @@ def run_all(meter_config: Optional[MeterLabConfig] = None,
         ("Figures 14-16", lambda: exps.join_queries(lab)),
         ("Figure 17", lambda: exps.partial_query(lab)),
         ("Tables 5-6 + Figure 18", lambda: exps.tpch_q6(tpch)),
-        ("Ablation: parallel engine speedup",
-         lambda: exps.parallel_speedup(lab)),
         ("Ablation: policy advisor", lambda: exps.ablation_advisor(lab)),
         ("Ablation: vectorized engine speedup",
          lambda: exps.vectorized_speedup(lab, tpch)),
@@ -110,7 +108,7 @@ def collect_reference_traces(lab: MeterLab,
     versioned trace document (schema ``dgf-repro/trace``, see
     docs/observability.md) and the headline stats — plus the session's
     metrics snapshot.  Wall times are zeroed so the artifact is
-    deterministic across hosts and worker counts.
+    deterministic across hosts and runs.
     """
     from repro.obs.trace import validate_trace
     session = lab.dgf_session(case)

@@ -35,7 +35,6 @@ from repro.delta import Compactor
 from repro.errors import BenchmarkError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hive.session import HiveSession
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.service.queryservice import QueryService
 
 TABLE = "meterstream"
@@ -165,9 +164,7 @@ def _run_scenario(name: str, traffic: Callable, queries: Sequence[str],
                   plan: Optional[FaultPlan], rounds: int,
                   seed: int, workers: int) -> Dict[str, Any]:
     injector = FaultInjector(plan) if plan is not None else None
-    session = HiveSession(num_datanodes=4,
-                          execution=ExecutionConfig(max_workers=workers),
-                          faults=injector)
+    session = HiveSession(num_datanodes=4, faults=injector)
     session.fs.block_size = 2048
     session.execute(DDL)
     session.load_rows(TABLE, base_rows())

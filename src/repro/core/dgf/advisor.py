@@ -31,7 +31,6 @@ HAIL-style divergent-tuning sense.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,9 +71,8 @@ class QueryProfile:
 class Advice:
     """Structured advisor output: the recommended grid plus the evidence.
 
-    Replaces the bare :class:`SplittingPolicy` that ``recommend()`` used
-    to return — serializable (``to_dict``/``from_dict``), carries the
-    predicted cost under the advisor's objective, and explains itself.
+    Serializable (``to_dict``/``from_dict``), carries the predicted cost
+    under the advisor's objective, and explains itself.
     """
 
     policy: SplittingPolicy
@@ -439,24 +437,13 @@ class PolicyAdvisor:
                passes: int = 3) -> Advice:
         """Search the cheapest splitting policy, with the evidence.
 
-        The structured successor of :meth:`recommend`: same coordinate
-        descent on :meth:`expected_query_cost`, but the result is a
+        Coordinate descent on :meth:`expected_query_cost`; the result is a
         serializable :class:`Advice` (policy + ``IDXPROPERTIES`` + cell
-        counts + predicted cost + rationale) instead of a bare policy.
+        counts + predicted cost + rationale).
         """
         stats = self.profile_data(rows)
         profiles = self.profile_queries(query_history, stats)
         return self.advise_profiles(stats, profiles, passes)
-
-    def recommend(self, rows: Sequence[Sequence],
-                  query_history: Sequence[Dict[str, Interval]],
-                  passes: int = 3) -> SplittingPolicy:
-        """Deprecated: use :meth:`advise` (same search, richer result)."""
-        warnings.warn(
-            "PolicyAdvisor.recommend() is deprecated; use advise(), "
-            "which returns a structured Advice (advice.policy is the "
-            "old return value)", DeprecationWarning, stacklevel=2)
-        return self.advise(rows, query_history, passes).policy
 
     def advise_divergent(self, stats: Dict[str, DimensionStats],
                          profiles: Sequence[QueryProfile],

@@ -155,8 +155,8 @@ def run_build_job(session, table: TableInfo, index: IndexInfo,
                          records=len(rows),
                          compacted_seq=compacted_seq)
         store.merge_value(gfu_key, value, merge_fns)
-        # Task-local counter (merged at the reduce barrier): safe under the
-        # parallel engine, unlike a shared closure cell.
+        # Task-local counter (merged at the reduce barrier): dropped with a
+        # crashed attempt, unlike a shared closure cell.
         ctx.counter("dgf", "slices_written")
 
     def reduce_cleanup(ctx):

@@ -31,10 +31,10 @@ deltas at read time, and folds deltas back into slices in the background:
 
 Correctness contract (`tests/test_delta_differential.py`): queries over
 base+delta return rows byte-identical to the same logical data bulk-built
-into base alone, at workers {1,4,8}, vectorized on/off, before, during
-and after compaction — and all per-query observables (rows, QueryStats,
-normalized traces) are byte-identical across worker counts and cache
-settings within any one delta state.
+into base alone, vectorized on/off, before, during and after compaction
+— and all per-query observables (rows, QueryStats, normalized traces)
+are byte-identical across service concurrency and cache settings within
+any one delta state.
 """
 
 from repro.delta.compact import CompactionReport, Compactor

@@ -5,11 +5,9 @@ task 0 of the build job on its first attempt") with *probabilistic* ones
 (rates).  Every probabilistic decision is a pure function of the plan seed
 and a stable identity — ``(job name, task kind, task id)`` for tasks,
 ``(op, key)`` for KV operations — **never** of call order, wall time or
-thread identity.  That is what keeps chaos runs byte-identical across
-``max_workers`` settings: the same task experiences the same fault no
-matter which thread runs it or when (the same construction that makes the
-parallel engine's barrier merges deterministic, see
-``tests/harness/differential.py``).
+thread identity.  That is what keeps chaos runs reproducible: the same
+task experiences the same fault no matter which query-service thread runs
+its statement, what ran before it, or when.
 
 Probabilistic faults only ever hit the *first* attempt of a task or KV
 operation, so a plan with the default :class:`RetryPolicy` can never
@@ -218,9 +216,9 @@ class FaultPlan:
         """Datanodes a :data:`DATANODE_DEAD` spec kills when a job whose
         name contains the spec's ``job`` starts running.
 
-        Job start is the one deterministic point shared by every worker
-        count — the engine is single-threaded there — so a mid-query kill
-        hits the identical moment whether tasks run on 1 or 8 workers.
+        Job start is a deterministic point — no task has read a block
+        yet — so a mid-query kill hits the identical moment on every
+        run.
         Specs without a ``job`` or ``datanode`` are handled by
         :meth:`FaultInjector.activate_datanode_faults` instead.
         """

@@ -164,7 +164,7 @@ class HDFS:
     """The simulated distributed filesystem.
 
     Namespace mutations and block flushes are serialized by a lock so
-    concurrent tasks of the parallel MapReduce engine can create and write
+    concurrent statements under the query service can create and write
     distinct files safely; reads stay lock-free (block bytes are immutable
     once flushed, and read accounting is task-local — see
     :func:`repro.hdfs.metrics.task_io_scope`).
@@ -187,8 +187,8 @@ class HDFS:
         self.io = IOStats()
         #: optional :class:`repro.obs.trace.Tracer`; when set, each block
         #: read/write also lands as ``hdfs.*`` counters on the calling
-        #: thread's active trace span (task spans under the parallel
-        #: engine, so per-op trace accounting stays race-free).
+        #: thread's active trace span (each service thread has its own
+        #: span stack, so per-op trace accounting stays race-free).
         self.tracer = None
         #: optional :class:`repro.faults.FaultInjector`; records datanode
         #: deaths and replica failovers when set.
@@ -348,11 +348,11 @@ class HDFS:
             return rotated[:min(self.replication, len(rotated))]
         n = len(self.datanodes)
         # Placement is a pure function of (file name, block ordinal), not a
-        # shared round-robin cursor: concurrent writers (parallel reduce
-        # tasks flushing output blocks) would otherwise interleave cursor
-        # advances nondeterministically, making which blocks land on a
-        # soon-to-die datanode — and therefore later failover counts —
-        # vary run to run.  Scanning from the derived start still skips
+        # shared round-robin cursor: concurrent writers (statements flushing
+        # output blocks on several service threads) would otherwise
+        # interleave cursor advances nondeterministically, making which
+        # blocks land on a soon-to-die datanode — and therefore later
+        # failover counts — vary run to run.  Scanning from the derived start still skips
         # dead nodes so the write pipeline only targets live replicas,
         # and consecutive blocks of one file still rotate across nodes.
         start = (zlib.crc32(node.name.encode()) + len(node.blocks)) % n

@@ -1,13 +1,13 @@
 """I/O accounting shared by the filesystem, MapReduce engine and cost model.
 
 Thread model: :class:`IOStats` instances are plain integer accumulators with
-no lock on the hot path.  Concurrent task execution (the parallel MapReduce
-engine) is made safe by :func:`task_io_scope`: inside a scope, every
-``record_read``/``record_write`` issued by the *current thread* lands in a
-private per-instance buffer, and the buffers are folded into the real
+no lock on the hot path.  Concurrent statements (the query service runs
+several at once) are made safe by :func:`task_io_scope`: inside a scope,
+every ``record_read``/``record_write`` issued by the *current thread* lands
+in a private per-instance buffer, and the buffers are folded into the real
 instances exactly once, at task completion, under a short module lock.  A
-task therefore observes its own exact I/O delta (``scope.captured``) and the
-shared totals stay race-free without serializing reads.
+task therefore observes its own exact I/O delta (``scope.captured``) and
+the shared totals stay race-free without serializing reads.
 """
 
 from __future__ import annotations

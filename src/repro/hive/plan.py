@@ -40,8 +40,8 @@ class Plan:
     splits: int = 0
     #: the chosen index handler's access plan, or None for a full scan
     access: Optional[IndexAccessPlan] = None
-    #: the scan job runs on the columnar engine (``ExecutionConfig(
-    #: vectorized=True)`` and the scan is batch-decodable)
+    #: the scan job runs on the columnar engine (a ``vectorized=True``
+    #: session and a batch-decodable scan)
     vectorized: bool = False
     #: merge-on-read: resident streaming-delta cells and rows composed
     #: into this scan (0/0 when no delta is resident — the plan then

@@ -40,8 +40,7 @@ from repro.hive.plan import Plan
 from repro.hiveql import ast, parse
 from repro.hiveql.predicates import extract_ranges
 from repro.kvstore.hbase import KVStore
-from repro.mapreduce.cluster import (PAPER_CLUSTER, ClusterConfig,
-                                     ExecutionConfig)
+from repro.mapreduce.cluster import PAPER_CLUSTER, ClusterConfig
 from repro.mapreduce.cost import CostModel, JobStats, TimeBreakdown
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.splits import FileSplit
@@ -58,10 +57,9 @@ class QueryOptions:
 
     Layer ownership: QueryOptions is the **planner's per-query** surface —
     pass it (or a plain dict of its fields) to every
-    ``execute(..., options=...)``.  Session-wide engine mechanics
-    (vectorization, task threads) belong to
-    :class:`~repro.mapreduce.cluster.ExecutionConfig`, fixed at
-    ``repro.connect()`` time; service-pool sizing belongs to
+    ``execute(..., options=...)``.  The session-wide engine switch
+    (``vectorized``) is fixed at ``repro.connect()`` time; service-pool
+    sizing belongs to
     ``connect(max_workers=..., queue_depth=...)``.  Unknown keys in the
     dict form raise ``TypeError`` naming the right layer (see the
     knob-ownership section of :mod:`repro.api`).
@@ -132,7 +130,7 @@ class HiveSession:
                  cluster: ClusterConfig = PAPER_CLUSTER,
                  data_scale: float = 1.0,
                  num_datanodes: int = 4,
-                 execution: Optional[ExecutionConfig] = None,
+                 vectorized: bool = False,
                  cache: Union[None, bool, GfuMetadataCache] = None,
                  faults: Union[None, "FaultPlan", "FaultInjector"] = None):
         self.fs = fs if fs is not None else HDFS(num_datanodes=num_datanodes)
@@ -140,13 +138,12 @@ class HiveSession:
         self.cluster = cluster
         self.cost_model = CostModel(cluster, data_scale=data_scale)
         self.metastore = Metastore()
-        # ``execution`` controls *real* in-process task parallelism (thread
-        # pool size); results are byte-identical for every setting, and the
-        # sequential default keeps calibrated benchmark numbers unchanged.
-        self.execution = execution if execution is not None \
-            else ExecutionConfig()
+        # ``vectorized`` opts eligible scans into the columnar batch engine
+        # (:mod:`repro.vector`); results are byte-identical either way, and
+        # the row engine runs everywhere when NumPy is not installed.
+        self.vectorized = vectorized
         # Observability: one tracer (per-query span trees, normalized-stable
-        # across worker counts) and one metrics registry per session.  The
+        # across engine modes) and one metrics registry per session.  The
         # filesystem, KV store and engine all report into the same tracer.
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
@@ -165,8 +162,7 @@ class HiveSession:
             self.fault_injector.bind_metrics(self.metrics)
             self.fs.faults = self.fault_injector
             self.kvstore.faults = self.fault_injector
-        self.engine = MapReduceEngine(self.fs, execution=self.execution,
-                                      tracer=self.tracer,
+        self.engine = MapReduceEngine(self.fs, tracer=self.tracer,
                                       faults=self.fault_injector)
         # GFU-metadata cache in front of the KV store: on by default
         # (``cache=False`` disables it, an instance injects a shared one).
@@ -952,7 +948,7 @@ class HiveSession:
     def _vector_plan(self, analysis: hexec.AnalyzedSelect, input_format):
         """The columnar plan for this scan, or ``None`` (vectorization off,
         NumPy unavailable, joins, or no batch decoder for the format)."""
-        if not self.execution.vectorized:
+        if not self.vectorized:
             return None
         from repro import vector  # deferred: NumPy-optional subsystem
         return vector.compile_select(analysis, input_format)

@@ -41,9 +41,9 @@ class KVStore:
     """Sorted key-value store with HBase-flavoured operations.
 
     Point operations (get/put/contains/delete) are serialized by a lock so
-    the parallel MapReduce engine's reduce tasks — which put GFU entries
-    concurrently during a DGFIndex build — never corrupt the region lists
-    or race on the op counters.  ``multi_get`` and ``scan`` take the lock
+    concurrent statements under the query service — a streaming flush or
+    an index build putting GFU entries while other statements read them —
+    never corrupt the region lists or race on the op counters.  ``multi_get`` and ``scan`` take the lock
     once per *batch* rather than per key, so a scan observes a consistent
     region layout for each batch even while concurrent puts split regions
     between batches.

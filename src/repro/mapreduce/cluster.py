@@ -11,7 +11,6 @@ experiment.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.common.units import MiB
@@ -56,62 +55,3 @@ class ClusterConfig:
 #: The paper's cluster, used by all experiments unless overridden.
 PAPER_CLUSTER = ClusterConfig()
 
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """How the *real* in-process engine schedules tasks.
-
-    Distinct from :class:`ClusterConfig`, which parameterizes the paper's
-    *simulated* cluster for the cost model: ``max_workers`` controls how
-    many OS threads actually run map and reduce tasks concurrently.
-
-    ``max_workers=1`` (the default) is the fully sequential engine that all
-    benchmark numbers were calibrated on; ``0`` means "one worker per CPU
-    core".  Every setting produces a byte-identical
-    :class:`~repro.mapreduce.job.JobResult` — rows, counters and per-task
-    stats — because tasks accumulate state locally and the engine merges
-    task results in deterministic split/partition order at each phase
-    barrier.  The differential harness (``tests/harness/differential.py``)
-    enforces that guarantee.
-
-    ``vectorized=True`` opts map tasks into the columnar batch engine
-    (:mod:`repro.vector`): scans decode whole column batches, predicates
-    run as NumPy kernels, and additive aggregates fold per batch.  The
-    switch is purely a *speed* knob — any expression the vector layer
-    cannot compile falls back to the row engine per operator, and the
-    vector differential harness (``tests/test_vector_differential.py``)
-    proves results, stats and normalized traces stay byte-identical.
-    When NumPy is not installed the flag is inert and the row engine
-    runs everywhere.
-
-    Layer ownership: ExecutionConfig is a **per-session engine** setting,
-    fixed at ``repro.connect()`` time (``execution=...`` or the
-    ``vectorized=`` / ``engine_workers=`` shorthands) — never per query.
-    Per-query planner knobs live in
-    :class:`~repro.hive.session.QueryOptions`; the service pool is sized
-    by ``connect(max_workers=..., queue_depth=...)``.  See the knob-
-    ownership section of :mod:`repro.api`.
-    """
-
-    max_workers: int = 1
-    vectorized: bool = False
-
-    def __post_init__(self):
-        if self.max_workers < 0:
-            raise ValueError(
-                f"max_workers must be >= 0 (0 = one per CPU core), "
-                f"got {self.max_workers}")
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.worker_count() > 1
-
-    def worker_count(self) -> int:
-        """The resolved number of task-execution threads."""
-        if self.max_workers == 0:
-            return os.cpu_count() or 1
-        return self.max_workers
-
-
-#: The default: the deterministic single-threaded engine.
-SEQUENTIAL = ExecutionConfig(max_workers=1)

@@ -56,10 +56,9 @@ class TaskStats:
     """Measured facts about one executed task (map or reduce).
 
     The engine records one entry per task in
-    :attr:`repro.mapreduce.job.JobResult.task_stats`, in deterministic task
-    order regardless of how many worker threads executed the job, so the
-    cost model can consume measured per-task counters instead of assuming
-    the serial-order even split that :class:`JobStats` aggregates imply.
+    :attr:`repro.mapreduce.job.JobResult.task_stats`, in task order, so
+    the cost model can consume measured per-task counters instead of
+    assuming the even split that :class:`JobStats` aggregates imply.
     """
 
     task_id: int

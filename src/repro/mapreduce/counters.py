@@ -1,11 +1,11 @@
 """Hadoop-style job counters.
 
-Thread model: a ``Counters`` instance is deliberately lock-free.  Under the
-parallel engine each task gets its *own* instance (via its
-:class:`~repro.mapreduce.job.TaskContext`), and the engine folds the
-per-task instances into the job's counters with :meth:`Counters.merge` at
-the phase barrier, in deterministic task order — so ``inc`` never races and
-merged values are identical for any worker count.
+Thread model: a ``Counters`` instance is deliberately lock-free.  Each task
+gets its *own* instance (via its :class:`~repro.mapreduce.job.TaskContext`),
+and the engine folds the per-task instances into the job's counters with
+:meth:`Counters.merge` at the phase barrier, in task order — so a crashed
+attempt's counts are simply dropped, and concurrent statements never share
+an instance.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """The in-process MapReduce job runner.
 
-Tasks run either sequentially (the default) or on a thread pool
-(:class:`~repro.mapreduce.cluster.ExecutionConfig` with ``max_workers > 1``),
-and the two modes produce **byte-identical** :class:`JobResult`s: every map
-and reduce task accumulates its counters and I/O stats task-locally (see
-:func:`repro.hdfs.metrics.task_io_scope`), and the engine merges task
-outcomes at each phase barrier in deterministic order — split order for map
-tasks, partition order for reduce tasks, with reduce keys processed in
-sorted order inside each partition.  The differential harness
-(``tests/harness/differential.py``) enforces this equivalence for generated
-workloads; the *simulated* parallelism of the paper's cluster remains the
-cost model's slot/wave arithmetic over the measured counters.
+Tasks run one after another on the calling thread.  Each map and reduce
+task still accumulates its counters and I/O stats task-locally (see
+:func:`repro.hdfs.metrics.task_io_scope`) and hands back a
+:class:`_TaskOutcome`; the engine merges outcomes at each phase barrier in
+deterministic order — split order for map tasks, partition order for reduce
+tasks, with reduce keys processed in sorted order inside each partition.
+The barrier is where fault recovery discards crashed attempts and where
+task trace spans are attached, and the task-local accounting keeps
+concurrent queries (the query service runs statements on several threads)
+from mixing their I/O.  The parallelism of the paper's cluster is
+*simulated*: the cost model's slot/wave arithmetic over the measured
+per-task counters (:mod:`repro.mapreduce.cost`).
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from __future__ import annotations
 import numbers
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MapReduceError, TaskAttemptFailed
 from repro.hdfs.filesystem import HDFS
 from repro.hdfs.metrics import task_io_scope
-from repro.mapreduce.cluster import ExecutionConfig, SEQUENTIAL
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.cost import TaskStats
 from repro.mapreduce.job import Job, JobResult, TaskContext
@@ -40,8 +39,8 @@ def estimate_size(obj: Any) -> int:
     Models Hadoop's writable encoding: small fixed overhead per value plus
     the payload size; containers add their elements.  Unordered containers
     (dicts, sets) sum their per-entry sizes in sorted order so the result —
-    and therefore the shuffle-byte counters merged under the parallel
-    engine — is identical for any insertion order or hash seed.
+    and therefore the shuffle-byte counters — is identical for any
+    insertion order or hash seed.
     """
     if obj is None:
         return 1
@@ -89,7 +88,7 @@ class _TaskOutcome:
     input_bytes: int = 0
     output_bytes: int = 0
     #: the task's trace span, attached to the phase span at the barrier
-    #: (in task order) so trace shape never depends on thread scheduling.
+    #: (in task order), after any fault spans of the same task.
     span: Optional[Span] = None
     #: ``fault:*`` event spans accumulated by the recovery wrapper (crashed
     #: attempts, retries, speculation); attached before the task span at
@@ -107,10 +106,9 @@ class _TaskOutcome:
 class MapReduceEngine:
     """Runs :class:`~repro.mapreduce.job.Job` objects against an HDFS."""
 
-    def __init__(self, fs: HDFS, execution: Optional[ExecutionConfig] = None,
-                 tracer: Optional[Tracer] = None, faults=None):
+    def __init__(self, fs: HDFS, tracer: Optional[Tracer] = None,
+                 faults=None):
         self.fs = fs
-        self.execution = execution if execution is not None else SEQUENTIAL
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: optional :class:`repro.faults.FaultInjector`; when set, every
         #: task runs under the bounded-retry/speculation wrapper
@@ -124,25 +122,21 @@ class MapReduceEngine:
     def run(self, job: Job) -> JobResult:
         job.validate()
         if self.faults is not None:
-            # Scheduled mid-query datanode kills fire at job start: the
-            # engine is still single-threaded here, so the kill lands at
-            # the identical point for every worker count.  The alive guard
-            # keeps the registry from double-recording when a layout
-            # failover replans and re-runs a job with a matching name.
+            # Scheduled mid-query datanode kills fire at job start, before
+            # any task has read a block.  The alive guard keeps the
+            # registry from double-recording when a layout failover
+            # replans and re-runs a job with a matching name.
             for node_id in self.faults.scheduled_datanode_kills(job.name):
                 if self.fs.datanodes[node_id].alive:
                     self.fs.kill_datanode(node_id)
-        execution = job.execution if job.execution is not None \
-            else self.execution
-        workers = execution.worker_count()
         with self.tracer.span("mr_job", job=job.name) as job_span:
-            result = self._run(job, workers, job_span)
+            result = self._run(job, job_span)
         result.trace_span = job_span if self.tracer.enabled else None
         with self._jobs_run_lock:
             self.jobs_run += 1
         return result
 
-    def _run(self, job: Job, workers: int, job_span: Span) -> JobResult:
+    def _run(self, job: Job, job_span: Span) -> JobResult:
         result = JobResult(job_name=job.name)
         stats = result.stats
         counters = result.counters
@@ -156,15 +150,15 @@ class MapReduceEngine:
         partitioner = job.partitioner or stable_hash
 
         with self.tracer.span("map_phase", tasks=len(splits)) as map_span:
-            map_outcomes = self._run_phase(
-                [lambda tid=task_id, s=split: self._run_attempts(
-                    job, "map", tid,
-                    lambda attempt, crash, tid=tid, s=s:
+            map_outcomes = [
+                self._run_attempts(
+                    job, "map", task_id,
+                    lambda attempt, crash, tid=task_id, s=split:
                         self._map_task(job, tid, s, attempt, crash))
-                 for task_id, split in enumerate(splits)], workers)
+                for task_id, split in enumerate(splits)]
 
             # Barrier: merge map outcomes in split order, so shuffle value
-            # lists, counters and stats are identical for any worker count.
+            # lists, counters and stats follow the input layout.
             for outcome in map_outcomes:
                 self._merge_fault_spans(map_span, outcome)
                 if outcome.span is not None:
@@ -200,13 +194,13 @@ class MapReduceEngine:
             shuffle_span.add("shuffle_records", stats.map_output_records)
 
         with self.tracer.span("reduce_phase") as reduce_span:
-            reduce_outcomes = self._run_phase(
-                [lambda tid=task_id, b=bucket: self._run_attempts(
-                    job, "reduce", tid,
-                    lambda attempt, crash, tid=tid, b=b:
+            reduce_outcomes = [
+                self._run_attempts(
+                    job, "reduce", task_id,
+                    lambda attempt, crash, tid=task_id, b=bucket:
                         self._reduce_task(job, tid, b, attempt, crash))
-                 for task_id, bucket in enumerate(shuffle)
-                 if bucket or num_partitions == 1], workers)
+                for task_id, bucket in enumerate(shuffle)
+                if bucket or num_partitions == 1]
             for outcome in reduce_outcomes:
                 self._merge_fault_spans(reduce_span, outcome)
                 if outcome.span is not None:
@@ -335,16 +329,6 @@ class MapReduceEngine:
         raise exc
 
     # ----------------------------------------------------------------- tasks
-    def _run_phase(self, thunks: List[Callable[[], _TaskOutcome]],
-                   workers: int) -> List[_TaskOutcome]:
-        """Execute one phase's tasks, returning outcomes in task order."""
-        if workers <= 1 or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        with ThreadPoolExecutor(max_workers=min(workers, len(thunks)),
-                                thread_name_prefix="mr-task") as pool:
-            futures = [pool.submit(thunk) for thunk in thunks]
-            return [future.result() for future in futures]
-
     def _map_task(self, job: Job, task_id: int, split, attempt: int = 0,
                   crash_after: Optional[int] = None) -> _TaskOutcome:
         if job.vector_plan is not None and crash_after is None:

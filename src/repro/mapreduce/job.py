@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.cost import JobStats, TaskStats
 from repro.mapreduce.splits import FileSplit, InputFormat
@@ -66,8 +65,6 @@ class Job:
     reduce_cleanup: Optional[Callable[[TaskContext], None]] = None
     #: partition function key -> int; default is hash.
     partitioner: Optional[Callable[[Any], int]] = None
-    #: per-job override of the engine's execution mode (None = engine's).
-    execution: Optional[ExecutionConfig] = None
     #: per-job override of the fault plan's retry budget (None = policy's
     #: ``max_task_attempts``); lets tests pin a job to a single attempt.
     max_task_attempts: Optional[int] = None
@@ -98,9 +95,9 @@ class JobResult:
 
     ``task_stats`` lists one :class:`~repro.mapreduce.cost.TaskStats` per
     executed task — map tasks in split order, then reduce tasks in
-    partition order — identical for any ``ExecutionConfig``, so the cost
-    model can read measured per-task counters instead of assuming serial
-    execution evenly divided the input.
+    partition order — so the cost model can read measured per-task
+    counters instead of assuming serial execution evenly divided the
+    input.
     """
 
     job_name: str

@@ -13,11 +13,11 @@ the calling thread.
 Thread model: mirrors :func:`repro.hdfs.metrics.task_io_scope`.  Each
 thread has its own active-span stack (``threading.local``), so counter
 updates never race: a task records only into the span it activated on its
-own thread.  Concurrently produced task spans are *not* attached to the
-tree by the workers; the engine attaches them at its phase barrier, in
-deterministic task order, which is what makes traces byte-identical for
-every ``max_workers`` setting once wall times are normalized away
-(:meth:`Trace.normalized`).
+own thread, and statements the query service runs concurrently never
+share a span.  Task spans are *not* attached to the tree when they open;
+the engine attaches them at its phase barrier, in task order and after
+that task's fault spans, so a trace is a pure function of the executed
+work once wall times are normalized away (:meth:`Trace.normalized`).
 
 The JSON form (:meth:`Trace.to_json`) is versioned and documented
 field-by-field in ``docs/observability.md``; :func:`validate_trace` checks
@@ -206,7 +206,8 @@ class Tracer:
     ``span()`` opens a child of the current thread's active span (or a
     detached root when none is active); ``task_span()`` opens a span that
     is *never* auto-attached — the engine's phase barrier attaches task
-    spans in task order so tree shape is independent of thread scheduling.
+    spans in task order, after each task's fault spans, and a crashed
+    attempt's span is simply never attached.
     """
 
     def __init__(self, enabled: bool = True):
@@ -246,7 +247,7 @@ class Tracer:
 
     @contextmanager
     def task_span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Open a detached span (for tasks run on worker threads).
+        """Open a detached span (for MapReduce task attempts).
 
         The span becomes the calling thread's active span, but it is not
         attached to any parent; the caller attaches it deterministically
@@ -310,7 +311,8 @@ class Trace:
         Wall durations depend on the host and thread scheduling; everything
         else (names, attributes, counters, simulated times, child order) is
         a pure function of the executed work, so the normalized document is
-        byte-identical across ``max_workers`` settings.
+        byte-identical across runs, engine modes and service
+        concurrency.
 
         With ``strip_faults=True`` the fault observability layer is removed
         as well (``fault:*`` spans, ``fault.*`` counters), producing the

@@ -3,8 +3,8 @@
 The ROADMAP's north star is a catalog serving heavy interactive traffic;
 the paper's DGFIndex makes each MDRQ cheap, and this layer lets many of
 them run at once.  A :class:`QueryService` owns a pool of worker threads
-(sized like PR 1's :class:`~repro.mapreduce.cluster.ExecutionConfig`) that
-drain a **bounded** admission queue of submitted statements:
+(``max_workers``, default 1) that drain a **bounded** admission queue of
+submitted statements:
 
 * ``submit()`` enqueues a statement and returns a
   :class:`concurrent.futures.Future`; when the queue is full it either
@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence
 from repro.errors import (ServiceClosedError, ServiceDegradedError,
                           ServiceOverloadedError)
 from repro.hdfs.metrics import task_io_scope
-from repro.mapreduce.cluster import ExecutionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids import cycle
     from repro.hive.session import HiveSession, QueryOptions, QueryResult
@@ -90,9 +89,8 @@ class QueryService:
     """
 
     def __init__(self, session: "HiveSession",
-                 max_workers: Optional[int] = None,
+                 max_workers: int = 1,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 execution: Optional[ExecutionConfig] = None,
                  degraded_error_window: int = 16,
                  degraded_error_threshold: float = 0.5,
                  shed_when_degraded: bool = False):
@@ -102,9 +100,6 @@ class QueryService:
             raise ValueError("degraded_error_window must be >= 1")
         if not 0.0 < degraded_error_threshold <= 1.0:
             raise ValueError("degraded_error_threshold must be in (0, 1]")
-        if max_workers is None:
-            config = execution if execution is not None else ExecutionConfig()
-            max_workers = config.worker_count()
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.session = session

@@ -24,11 +24,9 @@ def simple_schema() -> Schema:
                      ("c", DataType.STRING))
 
 
-def make_session(block_size: int = 64 * 1024,
-                 execution=None) -> HiveSession:
-    """Fresh session; ``execution`` is an optional
-    :class:`~repro.mapreduce.cluster.ExecutionConfig` (None = sequential)."""
-    session = HiveSession(num_datanodes=4, execution=execution)
+def make_session(block_size: int = 64 * 1024) -> HiveSession:
+    """Fresh four-datanode session with the given HDFS block size."""
+    session = HiveSession(num_datanodes=4)
     session.fs.block_size = block_size
     return session
 

@@ -2,7 +2,7 @@
 
 The extension of :mod:`tests.harness.differential` for the workload-driven
 divergent advisor (``repro.service.advisor``).  Three guarantees, each
-proven byte-identically across ``max_workers`` {1, 4, 8}:
+proven byte-identically:
 
 * **Observation is free.**  Attaching a :class:`~repro.service.querylog
   .QueryLog` to a session changes *no* observable of any query — rows,
@@ -33,16 +33,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.hive.session import HiveSession
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.service.advisor import Advisor
 
 from tests.harness.differential import Workload, query_fingerprint
-
-#: worker counts every advisor check covers (acceptance: {1, 4, 8}).
-ADVISOR_WORKERS = (1, 4, 8)
 
 #: span names that exist only because a fleet / an advisor does
 ROUTE_SPAN = "dgf.route"
@@ -115,8 +111,7 @@ def advisor_view(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
 # --------------------------------------------------------------------- runner
 def run_advised_workload(
         workload: Workload,
-        prologue: Sequence[Tuple[str, Any]],
-        execution: Optional[ExecutionConfig] = None, *,
+        prologue: Sequence[Tuple[str, Any]], *,
         observe: bool = True,
         apply: bool = False,
         max_layouts: int = 2) -> Tuple[Dict[str, Any], Advisor, Any]:
@@ -135,7 +130,7 @@ def run_advised_workload(
     """
     if apply and not observe:
         raise ValueError("apply requires observe (the report needs a log)")
-    session = HiveSession(num_datanodes=4, execution=execution)
+    session = HiveSession(num_datanodes=4)
     session.fs.block_size = workload.block_size
     session.execute(workload.ddl)
     rows = list(workload.rows)

@@ -24,19 +24,15 @@ recovery counts) and reconcile the simulated recovery overhead.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, FaultRegistry
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import Job
 from repro.obs.trace import strip_fault_data
 
 from tests.harness.differential import (Workload, _assert_same,
                                         job_fingerprint, run_workload)
-
-#: worker counts every chaos check covers (ISSUE 5 acceptance: {1, 4, 8}).
-CHAOS_WORKERS = (1, 4, 8)
 
 
 def chaos_view(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
@@ -63,40 +59,23 @@ def chaos_view(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def assert_chaos_equivalent(
-        workload: Workload, plan: FaultPlan,
-        worker_counts: Sequence[int] = CHAOS_WORKERS
+        workload: Workload, plan: FaultPlan
         ) -> Tuple[Dict[str, Any], FaultRegistry]:
-    """Replay ``workload`` fault-free, then under ``plan`` at each worker
-    count; every chaos view must equal the fault-free baseline, and the
-    registries of all chaos runs must agree on what was injected.
+    """Replay ``workload`` fault-free, then under ``plan``; the chaos view
+    must equal the fault-free baseline.
 
-    Returns ``(baseline_view, registry)`` — the registry of the first
-    chaos run, for fault/recovery count assertions by the caller.
+    Returns ``(baseline_view, registry)`` — the chaos run's registry, for
+    fault/recovery count assertions by the caller.
     """
     baseline = chaos_view(run_workload(workload))
-    registries: List[FaultRegistry] = []
-    for workers in worker_counts:
-        injector = FaultInjector(plan)
-        fingerprint = run_workload(
-            workload, ExecutionConfig(max_workers=workers), faults=injector)
-        _assert_same(baseline, chaos_view(fingerprint),
-                     f"chaos max_workers={workers}")
-        registries.append(injector.registry)
-    first = registries[0]
-    for registry, workers in zip(registries[1:], worker_counts[1:]):
-        assert registry.injected_counts() == first.injected_counts(), (
-            f"max_workers={workers} injected different faults: "
-            f"{registry.injected_counts()} != {first.injected_counts()}")
-        assert registry.recovery_counts() == first.recovery_counts(), (
-            f"max_workers={workers} recovered differently: "
-            f"{registry.recovery_counts()} != {first.recovery_counts()}")
-        assert registry.backoff_seconds == first.backoff_seconds
-    return baseline, first
+    injector = FaultInjector(plan)
+    fingerprint = run_workload(workload, faults=injector)
+    _assert_same(baseline, chaos_view(fingerprint), "chaos")
+    return baseline, injector.registry
 
 
 def assert_job_chaos_equivalent(
-        make_fs_and_job: Callable[[], Tuple[Any, Job]], plan: FaultPlan,
-        worker_counts: Sequence[int] = CHAOS_WORKERS
+        make_fs_and_job: Callable[[], Tuple[Any, Job]], plan: FaultPlan
         ) -> Tuple[Dict[str, Any], FaultRegistry]:
     """Raw-job analogue: one MapReduce job, faults on vs. off.
 
@@ -106,23 +85,14 @@ def assert_job_chaos_equivalent(
     """
     fs, job = make_fs_and_job()
     baseline = job_fingerprint(MapReduceEngine(fs).run(job))
-    registries: List[FaultRegistry] = []
-    for workers in worker_counts:
-        fs, job = make_fs_and_job()
-        injector = FaultInjector(plan)
-        if plan.dead_datanodes:
-            # Job inputs are written by make_fs_and_job before the engine
-            # runs, so killing now still forces read-path failover.
-            fs.faults = injector
-            injector.activate_datanode_faults(fs)
-        engine = MapReduceEngine(
-            fs, execution=ExecutionConfig(max_workers=workers),
-            faults=injector)
-        candidate = job_fingerprint(engine.run(job))
-        _assert_same(baseline, candidate, f"chaos max_workers={workers}")
-        registries.append(injector.registry)
-    first = registries[0]
-    for registry in registries[1:]:
-        assert registry.injected_counts() == first.injected_counts()
-        assert registry.recovery_counts() == first.recovery_counts()
-    return baseline, first
+    fs, job = make_fs_and_job()
+    injector = FaultInjector(plan)
+    if plan.dead_datanodes:
+        # Job inputs are written by make_fs_and_job before the engine
+        # runs, so killing now still forces read-path failover.
+        fs.faults = injector
+        injector.activate_datanode_faults(fs)
+    engine = MapReduceEngine(fs, faults=injector)
+    candidate = job_fingerprint(engine.run(job))
+    _assert_same(baseline, candidate, "chaos")
+    return baseline, injector.registry

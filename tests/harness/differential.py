@@ -1,21 +1,18 @@
-"""Differential harness: proves the parallel engine equals the sequential one.
+"""Differential harness: fingerprints that per-feature suites compare.
 
-Two entry points, both asserting *byte-identical* results across
-``max_workers`` settings:
+* :func:`job_fingerprint` — a raw MapReduce :class:`JobResult` as a plain
+  dict: output records, every counter value, the ``JobStats`` aggregate
+  the cost model consumes, and the per-task ``TaskStats`` list.
 
-* :func:`assert_job_equivalent` — runs one raw MapReduce job (rebuilt from
-  scratch per run so no mutable state is shared) on the sequential engine
-  and on thread-pool engines, comparing full :class:`JobResult`
-  fingerprints: output records, every counter value, the ``JobStats``
-  aggregate the cost model consumes, and the per-task ``TaskStats`` list.
-
-* :func:`assert_session_equivalent` — replays a whole workload (DDL, rows,
-  optional index build, queries) through independent :class:`HiveSession`s,
-  comparing result rows, per-query ``QueryStats`` (including the simulated
-  cost-model seconds, which are pure functions of the measured counters),
-  normalized query traces (the full span tree with wall times zeroed —
-  see docs/observability.md), index-build reports, global filesystem I/O
-  totals and key-value-store op counts.
+* :func:`run_workload` — replays a whole workload (DDL, rows, optional
+  index build, queries) through a fresh :class:`HiveSession` and
+  fingerprints result rows, per-query ``QueryStats`` (including the
+  simulated cost-model seconds, which are pure functions of the measured
+  counters), normalized query traces (the full span tree with wall times
+  zeroed — see docs/observability.md), index-build reports, global
+  filesystem I/O totals and key-value-store op counts.  The feature
+  suites (vector, chaos, replica, pyramid, advisor) replay one workload
+  with their feature on and off and compare the two fingerprints.
 
 * :func:`assert_service_equivalent` — replays a workload's queries through
   the concurrent :class:`~repro.service.queryservice.QueryService` at
@@ -28,24 +25,20 @@ Two entry points, both asserting *byte-identical* results across
   and the simulated index time, must be byte-identical.
 
 Fingerprints are plain dicts compared with ``==``; on mismatch the harness
-reports exactly which entries diverged, which is what turns "the engines
-disagree" into a debuggable ordering bug.
+reports exactly which entries diverged, which is what turns "the two
+configurations disagree" into a debuggable ordering bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.hive.session import HiveSession, QueryOptions, QueryResult
-from repro.mapreduce.cluster import ExecutionConfig
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import Job, JobResult
+from repro.mapreduce.job import JobResult
 from repro.service.cache import GfuMetadataCache
 from repro.service.queryservice import QueryService
 
-#: worker counts every differential check covers (ISSUE 1 acceptance).
-WORKER_COUNTS = (1, 2, 4, 8)
 #: query-service concurrency levels every service check covers (ISSUE 4).
 SERVICE_CONCURRENCY = (1, 4, 8)
 
@@ -80,7 +73,8 @@ def query_fingerprint(result: QueryResult) -> Dict[str, Any]:
         "time": (stats.time.read_index_and_other,
                  stats.time.read_data_and_process),
         # The whole span tree, wall times zeroed: trace shape, attrs,
-        # counters and simulated times must not depend on worker count.
+        # counters and simulated times must not depend on the feature
+        # under comparison.
         "trace": (result.trace.normalized()
                   if result.trace is not None else None),
         # The structured plan (scalar summary) — the same object EXPLAIN
@@ -100,7 +94,7 @@ def diff_fingerprints(expected: Dict[str, Any], actual: Dict[str, Any],
         if isinstance(left, dict) and isinstance(right, dict):
             lines.extend(diff_fingerprints(left, right, prefix=f"{label}."))
         elif left != right:
-            lines.append(f"{label}: sequential={left!r} parallel={right!r}")
+            lines.append(f"{label}: baseline={left!r} candidate={right!r}")
     return lines
 
 
@@ -109,28 +103,7 @@ def _assert_same(baseline: Dict[str, Any], candidate: Dict[str, Any],
     if candidate != baseline:
         diverged = "\n  ".join(diff_fingerprints(baseline, candidate))
         raise AssertionError(
-            f"{context} diverged from the sequential engine:\n  {diverged}")
-
-
-# ------------------------------------------------------------------- job level
-def assert_job_equivalent(
-        make_fs_and_job: Callable[[], Tuple[Any, Job]],
-        worker_counts: Sequence[int] = WORKER_COUNTS) -> Dict[str, Any]:
-    """Run a job on the sequential engine and at each worker count.
-
-    ``make_fs_and_job`` must build a *fresh* filesystem + job per call so
-    runs can never observe each other's state.  Returns the sequential
-    fingerprint (for extra assertions by the caller).
-    """
-    fs, job = make_fs_and_job()
-    baseline = job_fingerprint(MapReduceEngine(fs).run(job))
-    for workers in worker_counts:
-        fs, job = make_fs_and_job()
-        engine = MapReduceEngine(
-            fs, execution=ExecutionConfig(max_workers=workers))
-        candidate = job_fingerprint(engine.run(job))
-        _assert_same(baseline, candidate, f"max_workers={workers}")
-    return baseline
+            f"{context} diverged from the baseline:\n  {diverged}")
 
 
 # --------------------------------------------------------------- session level
@@ -175,7 +148,7 @@ class Workload:
 
 
 def run_workload(workload: Workload,
-                 execution: Optional[ExecutionConfig] = None,
+                 vectorized: bool = False,
                  cache: Union[None, bool, GfuMetadataCache] = None,
                  faults: Any = None) -> Dict[str, Any]:
     """Build a fresh session, replay the workload, return its fingerprint.
@@ -185,10 +158,10 @@ def run_workload(workload: Workload,
     whole replay; the plan's dead datanodes are killed *after* the data
     and index are in place — so their blocks carry replicas and the query
     phase genuinely exercises replica failover — and before the first
-    query runs (a deterministic point, the same for every worker count).
+    query runs (a deterministic point, the same for every replay).
     """
-    session = HiveSession(num_datanodes=4, execution=execution, cache=cache,
-                          faults=faults)
+    session = HiveSession(num_datanodes=4, vectorized=vectorized,
+                          cache=cache, faults=faults)
     session.fs.block_size = workload.block_size
     session.execute(workload.ddl)
     rows = list(workload.rows)
@@ -248,24 +221,11 @@ def run_workload(workload: Workload,
         fingerprint[f"query:{position}"] = query_fingerprint(result)
 
     # Global accounting must agree too: every byte read or written and
-    # every KV op, regardless of which thread performed it.
+    # every KV op.
     fingerprint["fs_io"] = asdict(session.fs.io)
     fingerprint["kv_ops"] = asdict(session.kvstore.stats)
     fingerprint["jobs_run"] = session.engine.jobs_run
     return fingerprint
-
-
-def assert_session_equivalent(
-        workload: Workload,
-        worker_counts: Sequence[int] = WORKER_COUNTS) -> Dict[str, Any]:
-    """Replay ``workload`` sequentially and at each worker count; all
-    fingerprints must be identical.  Returns the sequential fingerprint."""
-    baseline = run_workload(workload)
-    for workers in worker_counts:
-        candidate = run_workload(
-            workload, ExecutionConfig(max_workers=workers))
-        _assert_same(baseline, candidate, f"max_workers={workers}")
-    return baseline
 
 
 # --------------------------------------------------------------- service level

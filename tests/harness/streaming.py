@@ -13,9 +13,9 @@ same query battery in three physical states —
 
 The phase fingerprints cover rows, stats, plans and normalized traces,
 so :func:`assert_streaming_equivalent` proves each state is
-byte-identical across worker counts, with the GFU cache on and off
-(physical ``kv_ops`` dropped — the cache exists to change those), and on
-the vectorized engine (modulo the stripped vector layer).  Row *content*
+byte-identical with the GFU cache on and off (physical ``kv_ops``
+dropped — the cache exists to change those) and on the vectorized
+engine (modulo the stripped vector layer).  Row *content*
 must additionally agree across the three states and with an eagerly
 materialized baseline table — the DualTable contract that base+delta is
 just a physical layout of the same logical table.
@@ -24,16 +24,12 @@ just a physical layout of the same logical table.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.delta import Compactor, StreamingWriter
 from repro.hive.session import HiveSession
-from repro.mapreduce.cluster import ExecutionConfig
 
 from tests.harness.differential import (_assert_same, query_fingerprint)
-
-#: worker counts every streaming check covers (ISSUE 7 acceptance).
-STREAM_WORKERS = (1, 4, 8)
 
 TABLE = "meterstream"
 INDEX = "idxstream"
@@ -106,11 +102,11 @@ def materialized_rows() -> List[Tuple]:
     return rows
 
 
-def make_session(execution: Optional[ExecutionConfig] = None,
+def make_session(vectorized: bool = False,
                  cache: Any = None, faults: Any = None,
                  stored_as: str = "TEXTFILE",
                  pyramid: bool = False) -> HiveSession:
-    session = HiveSession(num_datanodes=4, execution=execution,
+    session = HiveSession(num_datanodes=4, vectorized=vectorized,
                           cache=cache, faults=faults)
     session.fs.block_size = 2048
     session.execute(DDL.format(fmt=stored_as))
@@ -136,7 +132,7 @@ def apply_stream(session: HiveSession) -> StreamingWriter:
     return writer
 
 
-def run_streaming_workload(execution: Optional[ExecutionConfig] = None,
+def run_streaming_workload(vectorized: bool = False,
                            cache: Any = None, faults: Any = None,
                            stored_as: str = "TEXTFILE",
                            pyramid: bool = False) -> Dict[str, Any]:
@@ -146,7 +142,7 @@ def run_streaming_workload(execution: Optional[ExecutionConfig] = None,
     stream, both compactions and every query window run under chaos.
     ``pyramid=True`` builds the aggregation pyramid before ingest.
     """
-    session = make_session(execution=execution, cache=cache, faults=faults,
+    session = make_session(vectorized=vectorized, cache=cache, faults=faults,
                            stored_as=stored_as, pyramid=pyramid)
     if session.fault_injector is not None:
         session.fault_injector.activate_datanode_faults(session.fs)
@@ -246,52 +242,31 @@ def assert_streaming_equivalent(stored_as: str = "TEXTFILE"
     """The ISSUE 7 differential contract, minus chaos (tested separately).
 
     Within each physical state the full fingerprint (rows, stats, plans,
-    normalized traces) must be byte-identical across worker counts and
-    with the GFU cache on (physical KV ops excluded); the vectorized
-    engine must match modulo its stripped observability layer.  Across
-    states, row content must be identical.  Returns the sequential
-    baseline fingerprint.
+    normalized traces) must be byte-identical with the GFU cache on and
+    off (physical KV ops excluded); the vectorized engine must match
+    modulo its stripped observability layer.  Across states, row content
+    must be identical.  Returns the cache-on baseline fingerprint.
     """
     baseline = run_streaming_workload(stored_as=stored_as)
-    for workers in STREAM_WORKERS:
-        candidate = run_streaming_workload(
-            ExecutionConfig(max_workers=workers), stored_as=stored_as)
-        _assert_same(baseline, candidate,
-                     f"streaming max_workers={workers}")
-    cached = run_streaming_workload(cache=True, stored_as=stored_as)
-    _assert_same(_drop_physical(baseline), _drop_physical(cached),
-                 "streaming cache=True")
-    vec_base = streaming_vector_view(baseline)
-    for workers in (1, 4):
-        vec = run_streaming_workload(
-            ExecutionConfig(max_workers=workers, vectorized=True),
-            stored_as=stored_as)
-        _assert_same(vec_base, streaming_vector_view(vec),
-                     f"streaming vectorized max_workers={workers}")
+    uncached = run_streaming_workload(cache=False, stored_as=stored_as)
+    _assert_same(_drop_physical(baseline), _drop_physical(uncached),
+                 "streaming cache=False")
+    vec = run_streaming_workload(vectorized=True, stored_as=stored_as)
+    _assert_same(streaming_vector_view(baseline), streaming_vector_view(vec),
+                 "streaming vectorized")
     for phase in ("mid", "post"):
         assert phase_rows(baseline, phase) == phase_rows(baseline, "pre"), (
             f"row content changed between pre and {phase} compaction")
     return baseline
 
 
-def assert_streaming_chaos_equivalent(plan: Any,
-                                      worker_counts: Sequence[int] =
-                                      STREAM_WORKERS) -> Dict[str, Any]:
+def assert_streaming_chaos_equivalent(plan: Any) -> Dict[str, Any]:
     """Chaos overlap: ingest + partial/full compaction + queries under a
     seeded fault plan must match the fault-free run (modulo fault spans
     and ``fs_io``, exactly like the chaos harness)."""
     from repro.faults import FaultInjector
     baseline = streaming_chaos_view(run_streaming_workload())
-    registries = []
-    for workers in worker_counts:
-        injector = FaultInjector(plan)
-        fingerprint = run_streaming_workload(
-            ExecutionConfig(max_workers=workers), faults=injector)
-        _assert_same(baseline, streaming_chaos_view(fingerprint),
-                     f"streaming chaos max_workers={workers}")
-        registries.append(injector.registry)
-    first = registries[0]
-    for registry in registries[1:]:
-        assert registry.injected_counts() == first.injected_counts()
-        assert registry.recovery_counts() == first.recovery_counts()
+    fingerprint = run_streaming_workload(faults=FaultInjector(plan))
+    _assert_same(baseline, streaming_chaos_view(fingerprint),
+                 "streaming chaos")
     return baseline

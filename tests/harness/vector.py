@@ -1,9 +1,8 @@
 """Row-vs-vector differential harness: columnar execution, byte-identical.
 
 The extension of :mod:`tests.harness.differential` for the vectorized
-engine: replay a workload with ``ExecutionConfig(vectorized=True)`` at
-several worker counts and assert the observable outcome equals the row
-engine's run *exactly* — result rows and row order, folded float
+engine: replay a workload on a ``vectorized=True`` session and assert the
+observable outcome equals the row engine's run *exactly* — result rows and row order, folded float
 aggregates, per-query stats including simulated cost-model seconds,
 structured plans, global ``fs_io`` / ``kv_ops`` totals, and traces
 *modulo the vector observability layer* (the ``vectorized`` span
@@ -24,18 +23,14 @@ the row path, so per-record crash timing is preserved).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, FaultRegistry
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.obs.trace import strip_vector_data
 
 from tests.harness.chaos import chaos_view
 from tests.harness.differential import (Workload, _assert_same,
                                         run_workload)
-
-#: worker counts every vector check covers (ISSUE 6 acceptance: {1, 4, 8}).
-VECTOR_WORKERS = (1, 4, 8)
 
 #: the plan-text line the vector engine adds (stripped for comparison).
 _PLAN_LINE = "\nvectorized: true"
@@ -71,27 +66,20 @@ def vector_view(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     return view
 
 
-def assert_vector_equivalent(
-        workload: Workload,
-        worker_counts: Sequence[int] = VECTOR_WORKERS) -> Dict[str, Any]:
-    """Replay ``workload`` on the row engine, then vectorized at each
-    worker count; every vector view must equal the row baseline.
+def assert_vector_equivalent(workload: Workload) -> Dict[str, Any]:
+    """Replay ``workload`` on the row engine, then vectorized; the vector
+    view must equal the row baseline.
 
     Returns the row-engine baseline view.
     """
     baseline = vector_view(run_workload(workload))
-    for workers in worker_counts:
-        fingerprint = run_workload(
-            workload,
-            ExecutionConfig(max_workers=workers, vectorized=True))
-        _assert_same(baseline, vector_view(fingerprint),
-                     f"vectorized max_workers={workers}")
+    fingerprint = run_workload(workload, vectorized=True)
+    _assert_same(baseline, vector_view(fingerprint), "vectorized")
     return baseline
 
 
 def assert_vector_chaos_equivalent(
-        workload: Workload, plan: FaultPlan,
-        worker_counts: Sequence[int] = VECTOR_WORKERS
+        workload: Workload, plan: FaultPlan
         ) -> Tuple[Dict[str, Any], FaultRegistry]:
     """Chaos overlap: the vectorized engine under a seeded fault plan must
     match the row engine under the *same* plan.
@@ -105,21 +93,17 @@ def assert_vector_chaos_equivalent(
     """
     injector = FaultInjector(plan)
     baseline = chaos_view(vector_view(run_workload(
-        workload, ExecutionConfig(), faults=injector)))
+        workload, faults=injector)))
     base_registry = injector.registry
-    for workers in worker_counts:
-        injector = FaultInjector(plan)
-        fingerprint = run_workload(
-            workload,
-            ExecutionConfig(max_workers=workers, vectorized=True),
-            faults=injector)
-        _assert_same(baseline, chaos_view(vector_view(fingerprint)),
-                     f"vectorized+chaos max_workers={workers}")
-        registry = injector.registry
-        assert registry.injected_counts() == base_registry.injected_counts(), (
-            f"vectorized max_workers={workers} changed fault injection: "
-            f"{registry.injected_counts()} != "
-            f"{base_registry.injected_counts()}")
-        assert registry.recovery_counts() == base_registry.recovery_counts()
-        assert registry.backoff_seconds == base_registry.backoff_seconds
+    injector = FaultInjector(plan)
+    fingerprint = run_workload(workload, vectorized=True, faults=injector)
+    _assert_same(baseline, chaos_view(vector_view(fingerprint)),
+                 "vectorized+chaos")
+    registry = injector.registry
+    assert registry.injected_counts() == base_registry.injected_counts(), (
+        f"vectorization changed fault injection: "
+        f"{registry.injected_counts()} != "
+        f"{base_registry.injected_counts()}")
+    assert registry.recovery_counts() == base_registry.recovery_counts()
+    assert registry.backoff_seconds == base_registry.backoff_seconds
     return baseline, base_registry

@@ -211,11 +211,10 @@ class TestAdvice:
         assert again.to_dict() == advice.to_dict()
         assert again.cell_counts == advice.cell_counts
 
-    def test_recommend_is_a_deprecation_shim(self, schema, rows):
+    def test_advise_policy_is_repeatable(self, schema, rows):
         advisor = PolicyAdvisor(schema, ["u", "d"],
                                 records_per_unit_volume=1e9)
-        with pytest.warns(DeprecationWarning, match="use advise\\(\\)"):
-            policy = advisor.recommend(rows, self.HISTORY)
+        policy = advisor.advise(rows, self.HISTORY).policy
         advice = advisor.advise(rows, self.HISTORY)
         assert policy.to_dict() == advice.policy.to_dict()
 

@@ -1,7 +1,6 @@
 """Advisor acceptance: tuning must never change answers.
 
-Three differential proofs over :mod:`tests.harness.advisor`, each swept
-across ``max_workers`` {1, 4, 8}:
+Three differential proofs over :mod:`tests.harness.advisor`:
 
 * attaching the query log changes **nothing** — full fingerprint
   identity, including global I/O and KV accounting;
@@ -17,10 +16,8 @@ across ``max_workers`` {1, 4, 8}:
 from __future__ import annotations
 
 from repro.hdfs.layout import PRIMARY_LAYOUT
-from repro.mapreduce.cluster import ExecutionConfig
 
-from tests.harness.advisor import (ADVISOR_WORKERS, advisor_view,
-                                   run_advised_workload)
+from tests.harness.advisor import advisor_view, run_advised_workload
 from tests.harness.differential import Workload, _assert_same
 from tests.harness.replicas import (chosen_layout, dyadic_rows, forced,
                                     logical_view)
@@ -81,18 +78,15 @@ def advised_workload() -> Workload:
 def test_observation_is_free():
     """Attaching the query log changes no observable of any query — the
     full fingerprint (rows, stats, plans, traces, global I/O and KV op
-    counts) is byte-identical, at every worker count."""
+    counts) is byte-identical."""
     workload = advised_workload()
     baseline, _, _ = run_advised_workload(workload, PROLOGUE,
                                           observe=False)
-    for workers in ADVISOR_WORKERS:
-        candidate, advisor, _ = run_advised_workload(
-            workload, PROLOGUE, ExecutionConfig(max_workers=workers),
-            observe=True)
-        _assert_same(baseline, candidate,
-                     f"query log attached, max_workers={workers}")
-        # the log demonstrably captured the whole run
-        assert len(advisor.entries()) == len(PROLOGUE) + len(MAIN)
+    candidate, advisor, _ = run_advised_workload(workload, PROLOGUE,
+                                                 observe=True)
+    _assert_same(baseline, candidate, "query log attached")
+    # the log demonstrably captured the whole run
+    assert len(advisor.entries()) == len(PROLOGUE) + len(MAIN)
 
 
 def test_applied_advice_is_inert_until_routed():
@@ -102,30 +96,21 @@ def test_applied_advice_is_inert_until_routed():
     workload = advised_workload()
     pinned = forced(workload, PRIMARY_LAYOUT)
     baseline, _, _ = run_advised_workload(pinned, PROLOGUE, observe=True)
-    for workers in ADVISOR_WORKERS:
-        fingerprint, _, report = run_advised_workload(
-            pinned, PROLOGUE, ExecutionConfig(max_workers=workers),
-            observe=True, apply=True)
-        assert report.layout_names(), (
-            "the advisor built nothing; the comparison is vacuous")
-        _assert_same(advisor_view(baseline), advisor_view(fingerprint),
-                     f"advice applied, pinned primary, "
-                     f"max_workers={workers}")
+    fingerprint, _, report = run_advised_workload(
+        pinned, PROLOGUE, observe=True, apply=True)
+    assert report.layout_names(), (
+        "the advisor built nothing; the comparison is vacuous")
+    _assert_same(advisor_view(baseline), advisor_view(fingerprint),
+                 "advice applied, pinned primary")
 
 
 def test_routed_fleet_logically_identical_and_specialist_routed():
-    """Cost-routing over the advisor-built fleet: byte-identical across
-    worker counts, logically identical to the pinned primary, with every
-    clustered query landing on its report-named specialist."""
+    """Cost-routing over the advisor-built fleet: logically identical to
+    the pinned primary, with every clustered query landing on its
+    report-named specialist."""
     workload = advised_workload()
     routed, advisor, report = run_advised_workload(
         workload, PROLOGUE, observe=True, apply=True)
-    for workers in ADVISOR_WORKERS:
-        candidate, _, _ = run_advised_workload(
-            workload, PROLOGUE, ExecutionConfig(max_workers=workers),
-            observe=True, apply=True)
-        _assert_same(routed, candidate,
-                     f"routed advised fleet, max_workers={workers}")
 
     pinned, _, _ = run_advised_workload(
         forced(workload, PRIMARY_LAYOUT), PROLOGUE,

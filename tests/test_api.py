@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -40,15 +38,7 @@ class TestModuleSurface:
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(repro, name) is not None
-
-    def test_hive_session_import_warns_but_works(self):
-        with pytest.deprecated_call():
-            cls = repro.HiveSession
-        from repro.hive.session import HiveSession
-        assert cls is HiveSession
+            assert getattr(repro, name) is not None
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -260,9 +250,16 @@ class TestKnobOwnership:
             repro.connect(dgf_layout="primary")
 
     def test_connect_engine_shorthands(self):
-        with repro.connect(vectorized=True, engine_workers=2) as connection:
-            assert connection.session.execution.vectorized is True
-            assert connection.session.execution.max_workers == 2
+        with repro.connect(vectorized=True) as connection:
+            assert connection.session.vectorized is True
+        with repro.connect() as connection:
+            assert connection.session.vectorized is False
+
+    @pytest.mark.parametrize("knob", [{"engine_workers": 2},
+                                      {"execution": object()}])
+    def test_connect_rejects_removed_engine_knobs(self, knob):
+        with pytest.raises(TypeError, match="vectorized="):
+            repro.connect(**knob)
 
     def test_execute_accepts_dict_options(self, conn):
         indexed = conn.execute(

@@ -5,8 +5,7 @@ replayed under a seeded :class:`~repro.faults.FaultPlan` that crashes task
 attempts, slows map tasks into speculation, kills a datanode and times out
 KV operations.  Every chaos run must be byte-identical to the fault-free
 baseline (rows, row order, folded float aggregates, simulated times,
-traces modulo fault spans) at ``max_workers`` 1, 4 and 8, and the fault
-registries of all worker counts must agree on exactly what was injected.
+traces modulo fault spans).
 
 The plan seed comes from ``REPRO_FAULT_SEED`` (default 0; the CI chaos job
 pins it) plus a per-example salt drawn by hypothesis, so one run covers
@@ -29,11 +28,10 @@ from repro.faults import (DATANODE_DEAD, FAULT_KINDS, KV_RETRY, KV_TIMEOUT,
                           TASK_CRASH, TASK_RETRY, TASK_STRAGGLER,
                           FaultInjector, FaultPlan, FaultSpec, RetryPolicy)
 from repro.hive.session import HiveSession
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.mapreduce.engine import MapReduceEngine
 
 from tests.conftest import SCAN
-from tests.harness.chaos import (CHAOS_WORKERS, assert_chaos_equivalent,
+from tests.harness.chaos import (assert_chaos_equivalent,
                                  assert_job_chaos_equivalent)
 from tests.harness.differential import Workload, run_workload
 from tests.test_engine_equivalence import (METER_DDL, index_sql, make_kv_job,
@@ -42,16 +40,6 @@ from tests.test_engine_equivalence import (METER_DDL, index_sql, make_kv_job,
 
 #: the chaos seed the whole suite derives plans from (CI pins it to 0).
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-
-def _chaos_workers():
-    raw = os.environ.get("REPRO_CHAOS_WORKERS", "").strip()
-    if not raw:
-        return CHAOS_WORKERS
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
-
-
-WORKERS = _chaos_workers()
 
 # Aggregated over every generated example; the final test asserts each
 # fault and recovery kind fired somewhere in the suite.
@@ -101,9 +89,9 @@ def _accumulate(registry, bucket: str) -> None:
 @given(workload=mdrq_workloads(), salt=st.integers(0, 7))
 def test_chaos_mdrq_sessions_equivalent(workload, salt):
     """Full MDRQ sessions under chaos fingerprint identically to the
-    fault-free run at every worker count, and the faults provably fired."""
+    fault-free run, and the faults provably fired."""
     baseline, registry = assert_chaos_equivalent(
-        workload, session_plan(salt), WORKERS)
+        workload, session_plan(salt))
     # the scheduled spec makes at least one crash+retry certain
     assert registry.injected_counts()[TASK_CRASH] >= 1
     assert registry.recovery_counts()[TASK_RETRY] >= 1
@@ -126,7 +114,7 @@ def test_chaos_raw_jobs_equivalent(spec, salt):
                          task_straggler_rate=plan.task_straggler_rate,
                          dead_datanodes=plan.dead_datanodes)
     _, registry = assert_job_chaos_equivalent(
-        lambda: make_kv_job(spec), plan, WORKERS)
+        lambda: make_kv_job(spec), plan)
     if spec["rows"]:
         assert registry.injected_counts()[TASK_CRASH] >= 1
         assert registry.recovery_counts()[TASK_RETRY] >= 1
@@ -158,7 +146,7 @@ class TestScheduledFaults:
         spec = {"rows": [(k % 7, k) for k in range(60)], "num_files": 2,
                 "num_reducers": 2, "use_combiner": True, "block_size": 600}
         _, registry = assert_job_chaos_equivalent(
-            lambda: make_kv_job(spec), plan, WORKERS)
+            lambda: make_kv_job(spec), plan)
         assert registry.injected_counts() == {TASK_CRASH: 2}
         assert registry.recovery_counts() == {TASK_RETRY: 1}
         # backoff before retries 1 and 2: 1s + 2s of simulated waiting
@@ -230,7 +218,7 @@ class TestScheduledFaults:
                       input_paths=["/in"], num_reducers=3)
             return fs, job
 
-        _, registry = assert_job_chaos_equivalent(make, plan, WORKERS)
+        _, registry = assert_job_chaos_equivalent(make, plan)
         # every non-empty reduce bucket crashed once and retried once
         crashes = registry.injected_counts()[TASK_CRASH]
         assert crashes >= 2
@@ -243,7 +231,7 @@ class TestScheduledFaults:
         spec = {"rows": [(k % 3, k) for k in range(30)], "num_files": 2,
                 "num_reducers": 1, "use_combiner": False, "block_size": 600}
         _, registry = assert_job_chaos_equivalent(
-            lambda: make_kv_job(spec), plan, WORKERS)
+            lambda: make_kv_job(spec), plan)
         assert registry.injected_counts() == {TASK_STRAGGLER: 1}
         assert registry.recovery_counts() == {SPECULATIVE_WIN: 1}
 
@@ -256,7 +244,7 @@ class TestScheduledFaults:
         spec = {"rows": [(k % 3, k) for k in range(30)], "num_files": 2,
                 "num_reducers": 1, "use_combiner": False, "block_size": 600}
         _, registry = assert_job_chaos_equivalent(
-            lambda: make_kv_job(spec), plan, WORKERS)
+            lambda: make_kv_job(spec), plan)
         assert registry.injected_counts() == {TASK_STRAGGLER: 1,
                                               TASK_CRASH: 1}
         # the original result stood: no speculative win, no retry, and a
@@ -272,7 +260,7 @@ class TestScheduledFaults:
         spec = {"rows": [(1, 1), (2, 2)], "num_files": 1, "num_reducers": 0,
                 "use_combiner": False, "block_size": 4096}
         _, registry = assert_job_chaos_equivalent(
-            lambda: make_kv_job(spec), plan, WORKERS)
+            lambda: make_kv_job(spec), plan)
         assert registry.total_injected() == 0
         assert registry.total_recovered() == 0
 
@@ -281,14 +269,14 @@ class TestScheduledFaults:
         spec = {"rows": [(k % 5, k) for k in range(80)], "num_files": 3,
                 "num_reducers": 2, "use_combiner": False, "block_size": 256}
         _, registry = assert_job_chaos_equivalent(
-            lambda: make_kv_job(spec), plan, WORKERS)
+            lambda: make_kv_job(spec), plan)
         assert registry.injected_counts() == {DATANODE_DEAD: 1}
         assert registry.recovery_counts()[REPLICA_FAILOVER] >= 1
 
     def test_kv_timeouts_recover_inside_a_session(self):
         plan = FaultPlan(seed=FAULT_SEED, kv_timeout_rate=0.3)
         _, registry = assert_chaos_equivalent(
-            _fixed_workload(), plan, WORKERS)
+            _fixed_workload(), plan)
         assert registry.injected_counts()[KV_TIMEOUT] >= 1
         assert registry.recovery_counts()[KV_RETRY] >= 1
 

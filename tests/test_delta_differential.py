@@ -7,16 +7,15 @@ delta-resident, after a *partial* compaction between two query windows,
 and fully compacted.  The contract, asserted byte-for-byte:
 
 * within each state, results/QueryStats/plans/normalized traces are
-  identical across ``max_workers`` {1, 4, 8}, with the GFU cache on and
-  off (physical KV op counts excluded), and on the vectorized engine
-  (modulo its stripped observability layer) — for TEXTFILE and RCFILE;
+  identical with the GFU cache on and off (physical KV op counts
+  excluded), and on the vectorized engine (modulo its stripped
+  observability layer) — for TEXTFILE and RCFILE;
 * row content is identical across the three states, and identical to a
   plain session whose base table eagerly materializes the op script;
 * the whole scenario — ingest, partial and full compaction, every query
   window — replayed under a seeded :class:`~repro.faults.FaultPlan`
   (task crashes, stragglers, a dead datanode, KV timeouts) matches the
-  fault-free run modulo fault spans, with identical injection/recovery
-  registries across worker counts;
+  fault-free run modulo fault spans;
 * an insert-only stream folded by the compactor is byte-identical —
   per-query fingerprints *and* global ``fs_io`` — to
   :func:`~repro.core.dgf.builder.append_with_dgf` fed the same rows;
@@ -33,7 +32,7 @@ from repro.service.queryservice import QueryService
 
 from tests.harness.differential import _assert_same, query_fingerprint
 from tests.harness.streaming import (INDEX, KEY_COLUMNS, QUERIES,
-                                     STREAM_WORKERS, TABLE, apply_stream,
+                                     TABLE, apply_stream,
                                      assert_streaming_chaos_equivalent,
                                      assert_streaming_equivalent, base_rows,
                                      make_session, materialized_rows,
@@ -98,10 +97,9 @@ def test_streaming_matches_materialized_baseline():
 
 def test_streaming_chaos_overlap():
     """Ingest, mid-window partial compaction, full compaction and every
-    query replayed under chaos across worker counts (ISSUE 7: compaction
-    interleaving with scans under the fault plans)."""
-    assert_streaming_chaos_equivalent(streaming_plan(salt=7),
-                                      worker_counts=STREAM_WORKERS)
+    query replayed under chaos (ISSUE 7: compaction interleaving with
+    scans under the fault plans)."""
+    assert_streaming_chaos_equivalent(streaming_plan(salt=7))
 
 
 # ----------------------------------------------- compaction vs. bulk append

@@ -159,8 +159,8 @@ class TestSliceReader:
 
 
 class TestConcurrentGetSplits:
-    """Two sessions filtering splits for the same table at once (the
-    parallel engine's getSplits path) must interfere with neither each
+    """Two sessions filtering splits for the same table at once (concurrent
+    statements under the query service) must interfere with neither each
     other nor a sequential caller."""
 
     def test_concurrent_slices_to_splits_match_sequential(self,
@@ -200,10 +200,9 @@ class TestConcurrentGetSplits:
 
     def test_two_sessions_same_table_parallel_queries(self):
         """Full-stack version: two HiveSessions over identical data run
-        indexed queries concurrently; answers match the sequential run."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.mapreduce.cluster import ExecutionConfig
+        indexed queries concurrently through their query services; answers
+        match the sequential run."""
+        from repro.service.queryservice import QueryService
         from tests.conftest import METER_DDL, make_session, meter_rows
 
         sql = ("SELECT sum(powerconsumed), count(*) FROM meterdata "
@@ -212,9 +211,7 @@ class TestConcurrentGetSplits:
                "AND ts <= '2012-12-04'")
 
         def build_session():
-            session = make_session(
-                block_size=2048,
-                execution=ExecutionConfig(max_workers=4))
+            session = make_session(block_size=2048)
             session.execute(METER_DDL)
             session.load_rows("meterdata", meter_rows())
             session.execute(
@@ -225,8 +222,13 @@ class TestConcurrentGetSplits:
             return session
 
         baseline = build_session().execute(sql).rows
-        sessions = [build_session(), build_session()]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(s.execute, sql) for s in sessions]
+        services = [QueryService(build_session(), max_workers=4)
+                    for _ in range(2)]
+        try:
+            futures = [service.submit(sql)
+                       for _ in range(4) for service in services]
             for future in futures:
                 assert future.result().rows == baseline
+        finally:
+            for service in services:
+                service.close()

@@ -113,14 +113,15 @@ class TestAdvisor:
         with pytest.raises(DGFError):
             PolicyAdvisor(schema, ["u"]).advise(rows, [])
 
-    def test_recommend_shim_warns_and_matches_advise(self, schema, rows):
+    def test_advise_policy_matches_advice_properties(self, schema, rows):
         advisor = PolicyAdvisor(schema, ["u", "d"],
                                 records_per_unit_volume=1e9)
         history = [{"u": Interval(low=100, high=200)}]
-        with pytest.warns(DeprecationWarning, match="recommend"):
-            legacy = advisor.recommend(rows, history)
-        assert legacy.to_dict() == advisor.advise(rows, history) \
-            .policy.to_dict()
+        advice = advisor.advise(rows, history)
+        assert advisor.advise(rows, history).policy.to_dict() \
+            == advice.policy.to_dict()
+        assert PolicyAdvisor.properties_for(advice.policy) \
+            == advice.properties
 
     def test_cost_tradeoff_visible(self, schema, rows):
         """More cells -> more gets; fewer cells -> more boundary read.

@@ -1,23 +1,16 @@
-"""Differential tests: the parallel engine is byte-identical to sequential.
+"""Engine and planner equivalence against references, over generated
+workloads.
 
-Every test here generates a workload, executes it once on the sequential
-engine and once per ``max_workers`` setting, and asserts the fingerprints
-(rows, counters, JobStats, per-task TaskStats, simulated cost-model
-seconds, global fs/KV accounting) are *identical* — not approximately
-equal.  Across the three Hypothesis tests the suite covers >= 200
-generated workloads (130 raw jobs + 45 MDRQ sessions + 25 append
-sessions), satisfying the ISSUE 1 acceptance bar, and the deterministic
-stress class drives every DgfIndexHandler query path (aggregation
-headers, slice reads, partial predicates, no-precompute, joins) under
-the parallel engine.
-
-The worker counts checked default to ``(1, 2, 4, 8)``; set the
-``REPRO_DIFF_WORKERS`` environment variable (e.g. ``"4"``) to narrow
-them — the CI differential job does this.
+The Hypothesis tests generate raw MapReduce jobs and whole MDRQ sessions
+and check each run against an independent reference: a pure-Python fold
+for raw jobs, the files a reduce task wrote for its emits, and a forced
+full scan for every indexed query.  The deterministic stress class drives
+every DgfIndexHandler query path (aggregation headers, slice reads,
+partial predicates, no-precompute, joins) over one dense dataset; its
+``QUERIES`` battery is shared with the vector, chaos and service suites.
 """
 
 import datetime
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,24 +18,13 @@ from hypothesis import strategies as st
 
 from repro.hdfs.filesystem import HDFS
 from repro.hive.session import QueryOptions
+from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import Job
 from repro.mapreduce.splits import TextRowInputFormat
 from repro.storage.schema import DataType, Schema
 from repro.storage.textfile import TextFileWriter
 from tests.conftest import SCAN
-from tests.harness.differential import (WORKER_COUNTS, Workload,
-                                        assert_job_equivalent,
-                                        assert_session_equivalent)
-
-
-def _worker_counts():
-    raw = os.environ.get("REPRO_DIFF_WORKERS", "").strip()
-    if not raw:
-        return WORKER_COUNTS
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
-
-
-WORKERS = _worker_counts()
+from tests.harness.differential import Workload, run_workload
 
 # ------------------------------------------------------------ raw job level
 KV_SCHEMA = Schema.of(("k", DataType.INT), ("v", DataType.INT))
@@ -68,7 +50,7 @@ raw_job_strategy = st.fixed_dictionaries({
 
 
 def make_kv_job(spec):
-    """Fresh fs + job per call, as assert_job_equivalent requires."""
+    """Fresh fs + job per call, so runs never share mutable state."""
     fs = HDFS(num_datanodes=3, block_size=spec["block_size"])
     write_kv_table(fs, spec["rows"], spec["num_files"])
 
@@ -95,16 +77,22 @@ def make_kv_job(spec):
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=raw_job_strategy)
 def test_generated_jobs_equivalent(spec):
-    """Map-only, reduce and combiner jobs over generated data: identical
-    output, counters, JobStats and TaskStats at every worker count."""
-    baseline = assert_job_equivalent(lambda: make_kv_job(spec), WORKERS)
-    counters = baseline["counters"]
-    assert counters.get("m", {}).get("records", 0) == len(spec["rows"])
-    if spec["num_reducers"] > 0:
-        groups = {k for k, _ in spec["rows"]}
-        total = sum(v for _, v in spec["rows"])
-        assert sum(s for s, _ in (v for _, v in baseline["output"])) == total
-        assert len(baseline["output"]) == len(groups)
+    """Map-only, reduce and combiner jobs over generated data: the output
+    equals a pure-Python fold of the rows, and the stats count them."""
+    fs, job = make_kv_job(spec)
+    result = MapReduceEngine(fs).run(job)
+    rows = spec["rows"]
+    assert result.counters.get("m", "records") == len(rows)
+    assert result.stats.map_input_records == len(rows)
+    if spec["num_reducers"] == 0:
+        assert sorted(result.output) == sorted((k, (v, 1)) for k, v in rows)
+        return
+    expected = {}
+    for k, v in rows:
+        total, count = expected.get(k, (0, 0))
+        expected[k] = (total + v, count + 1)
+    assert dict(result.output) == expected
+    assert len(result.output) == len(expected)
 
 
 @settings(max_examples=20, deadline=None,
@@ -113,8 +101,8 @@ def test_generated_jobs_equivalent(spec):
                      min_size=1, max_size=120),
        num_reducers=st.integers(1, 4))
 def test_reduce_side_writes_equivalent(rows, num_reducers):
-    """Reduce tasks that *write files* (the DGF build shape) are identical
-    under the thread pool: same output_bytes per task, same fs contents."""
+    """Reduce tasks that *write files* (the DGF build shape): every task's
+    file holds exactly its emits, and output_bytes counts those bytes."""
     def make():
         fs = HDFS(num_datanodes=3, block_size=600)
         write_kv_table(fs, rows, 2)
@@ -139,9 +127,14 @@ def test_reduce_side_writes_equivalent(rows, num_reducers):
                   input_paths=["/in"], num_reducers=num_reducers)
         return fs, job
 
-    baseline = assert_job_equivalent(make, WORKERS)
-    written = [t for t in baseline["tasks"] if t["kind"] == "reduce"]
-    assert sum(t["output_bytes"] for t in written) > 0
+    fs, job = make()
+    result = MapReduceEngine(fs).run(job)
+    written = b"".join(fs.read_bytes(f"/out/part-{t.task_id}")
+                       for t in result.task_stats if t.kind == "reduce")
+    assert written == "".join(f"{k},{v}\n"
+                              for k, v in result.output).encode("utf-8")
+    assert sum(t.output_bytes for t in result.task_stats
+               if t.kind == "reduce") == len(written) > 0
 
 
 # ------------------------------------------------------- MDRQ session level
@@ -189,6 +182,18 @@ def mdrq_sql(select, predicate):
             f"AND ts >= '{day_lo}' AND ts <= '{day_hi}'")
 
 
+def assert_same_aggregate(indexed, scanned):
+    """``sum(x), count(*)`` rows agree: counts exactly, sums to rounding
+    (the index folds headers and slices in a different order)."""
+    (indexed_sum, indexed_count), = indexed
+    (scanned_sum, scanned_count), = scanned
+    assert indexed_count == scanned_count
+    if scanned_sum is None:
+        assert indexed_sum is None
+    else:
+        assert indexed_sum == pytest.approx(scanned_sum, rel=1e-9)
+
+
 @st.composite
 def mdrq_workloads(draw):
     rows = tuple(sorted(draw(st.lists(meter_row, min_size=1, max_size=80)),
@@ -224,12 +229,14 @@ def mdrq_workloads(draw):
 @given(workload=mdrq_workloads())
 def test_mdrq_sessions_equivalent(workload):
     """Full sessions — load, DGF build, MDRQ queries over every planner
-    path — fingerprint identically at every worker count."""
-    baseline = assert_session_equivalent(workload, WORKERS)
-    assert baseline["build:d"]["stats"]["map_input_records"] \
+    path — answer the indexed aggregation exactly like a full scan."""
+    fingerprint = run_workload(workload)
+    assert fingerprint["build:d"]["stats"]["map_input_records"] \
         == len(workload.rows)
-    assert baseline["query:0"]["index_used"]
-    assert not baseline["query:1"]["index_used"]
+    indexed, scanned = fingerprint["query:0"], fingerprint["query:1"]
+    assert indexed["index_used"]
+    assert not scanned["index_used"]
+    assert_same_aggregate(indexed["rows"], scanned["rows"])
 
 
 @settings(max_examples=25, deadline=None,
@@ -239,7 +246,7 @@ def test_mdrq_sessions_equivalent(workload):
        predicate=predicate_strategy)
 def test_append_workloads_equivalent(rows, append, predicate):
     """The no-rebuild append path (incremental build job + slice merge)
-    is deterministic under the parallel engine too."""
+    keeps the indexed answer equal to a scan of the appended table."""
     agg = mdrq_sql("sum(powerconsumed), count(*)", predicate)
     workload = Workload(
         table="meterdata", ddl=METER_DDL,
@@ -248,10 +255,10 @@ def test_append_workloads_equivalent(rows, append, predicate):
         index_sql=index_sql(10, precompute="sum(powerconsumed)"),
         index_name="d",
         append_rows=tuple(sorted(append, key=lambda r: r[2])))
-    baseline = assert_session_equivalent(workload, WORKERS)
-    # sanity: the indexed answer over appended data still equals a scan
-    assert baseline["query:0"]["rows"][0][1] \
-        == baseline["query:1"]["rows"][0][1]
+    fingerprint = run_workload(workload)
+    assert fingerprint["query:0"]["index_used"]
+    assert_same_aggregate(fingerprint["query:0"]["rows"],
+                          fingerprint["query:1"]["rows"])
 
 
 # ------------------------------------------------------ deterministic stress
@@ -267,7 +274,7 @@ def stress_rows():
 
 class TestDgfStressParallel:
     """Every DgfIndexHandler query path, plus joins and INSERT DIRECTORY,
-    replayed at each worker count against one dense dataset."""
+    replayed against one dense dataset."""
 
     QUERIES = (
         # grid-aligned range: pure aggregation-header path
@@ -323,7 +330,7 @@ class TestDgfStressParallel:
                 ("userinfo",
                  "CREATE TABLE userinfo (userid bigint, username string)",
                  tuple((u, f"user{u}") for u in range(80))),))
-        return assert_session_equivalent(workload, WORKERS)
+        return run_workload(workload)
 
     def test_header_path_used(self, fingerprint):
         query = fingerprint["query:0"]

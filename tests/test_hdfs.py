@@ -211,8 +211,8 @@ class TestHDFS:
 
 
 class TestIOStatsTaskScopes:
-    """IOStats merging and the task-local capture scopes the parallel
-    MapReduce engine relies on for race-free accounting."""
+    """IOStats merging and the task-local capture scopes that concurrent
+    statements rely on for race-free accounting."""
 
     def test_merge_adds_every_field(self):
         from repro.hdfs.metrics import IOStats

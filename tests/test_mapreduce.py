@@ -1,13 +1,12 @@
 """Tests for the MapReduce engine, splits, counters and cost model."""
 
-import os
+import threading
 
 import pytest
 
 from repro.errors import MapReduceError
 from repro.hdfs.filesystem import HDFS
-from repro.mapreduce.cluster import (PAPER_CLUSTER, SEQUENTIAL,
-                                     ClusterConfig, ExecutionConfig)
+from repro.mapreduce.cluster import PAPER_CLUSTER, ClusterConfig
 from repro.mapreduce.cost import (CostModel, JobStats, KVStats, TaskStats,
                                   TimeBreakdown)
 from repro.mapreduce.counters import Counters
@@ -261,75 +260,34 @@ class TestEngine:
             shrink.add(token)
         assert estimate_size(grow) == estimate_size(shrink)
 
-    def test_parallel_engine_matches_sequential(self, loaded_fs):
-        """The same job run at several worker counts returns identical
-        output, counters, stats and per-task stats."""
+    def test_tasks_run_on_calling_thread(self, loaded_fs):
+        """Every map, combine and reduce task of a multi-split,
+        multi-partition job runs on the thread that called ``run``."""
         fs, schema = loaded_fs
         fmt = TextRowInputFormat(schema)
+        threads = {"map": set(), "combine": set(), "reduce": set()}
 
         def mapper(key, row, ctx):
-            ctx.counter("t", "mapped")
+            threads["map"].add(threading.get_ident())
             ctx.emit(row[0], row[1])
 
-        def reducer(key, values, ctx):
+        def combiner(key, values, ctx):
+            threads["combine"].add(threading.get_ident())
             ctx.emit(key, sum(values))
 
-        def run(execution):
-            engine = MapReduceEngine(fs, execution=execution)
-            return engine.run(Job(name="eq", input_format=fmt,
-                                  mapper=mapper, reducer=reducer,
-                                  input_paths=["/in"], num_reducers=3))
-
-        baseline = run(None)
-        for workers in (2, 4, 8):
-            result = run(ExecutionConfig(max_workers=workers))
-            assert result.output == baseline.output
-            assert result.counters.as_dict() == baseline.counters.as_dict()
-            assert result.stats == baseline.stats
-            assert result.task_stats == baseline.task_stats
-
-    def test_job_execution_overrides_engine(self, loaded_fs):
-        """Job.execution wins over the engine's ExecutionConfig."""
-        fs, schema = loaded_fs
-        fmt = TextRowInputFormat(schema)
-
-        def mapper(key, row, ctx):
-            ctx.emit(row[0], 1)
-
         def reducer(key, values, ctx):
+            threads["reduce"].add(threading.get_ident())
             ctx.emit(key, sum(values))
 
-        sequential_engine = MapReduceEngine(fs)
-        overridden = sequential_engine.run(Job(
-            name="ov", input_format=fmt, mapper=mapper, reducer=reducer,
-            input_paths=["/in"], num_reducers=2,
-            execution=ExecutionConfig(max_workers=4)))
-        plain = sequential_engine.run(Job(
-            name="ov", input_format=fmt, mapper=mapper, reducer=reducer,
-            input_paths=["/in"], num_reducers=2))
-        assert overridden.output == plain.output
-        assert overridden.stats == plain.stats
-
-
-class TestExecutionConfig:
-    def test_default_is_sequential(self):
-        config = ExecutionConfig()
-        assert config.max_workers == 1
-        assert config.worker_count() == 1
-        assert not config.is_parallel
-        assert SEQUENTIAL.worker_count() == 1
-
-    def test_zero_means_one_per_core(self):
-        config = ExecutionConfig(max_workers=0)
-        assert config.worker_count() == (os.cpu_count() or 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(max_workers=-1)
-
-    def test_engine_defaults_to_sequential(self):
-        engine = MapReduceEngine(HDFS(num_datanodes=1))
-        assert engine.execution == SEQUENTIAL
+        result = MapReduceEngine(fs).run(Job(
+            name="t", input_format=fmt, mapper=mapper, combiner=combiner,
+            reducer=reducer, input_paths=["/in"], num_reducers=3))
+        assert result.stats.map_tasks > 1
+        assert result.stats.reduce_tasks > 1
+        assert dict(result.output) == {
+            k: sum(range(k, 200, 10)) for k in range(10)}
+        caller = threading.get_ident()
+        assert threads == {kind: {caller} for kind in threads}
 
 
 class TestCostModel:

@@ -7,9 +7,8 @@ it, via :mod:`tests.harness.pyramid`:
 
 * a meterdata workload spanning every planner path (inner-region
   aggregation, derived avg, GROUP BY slices, ordered projection,
-  partial-specification) is byte-identical pyramid on vs. off at
-  ``max_workers`` {1, 4, 8}, vectorized on and off, with the GFU cache
-  on and off — rows, row order, folded float aggregates, per-query
+  partial-specification) is byte-identical pyramid on vs. off,
+  vectorized on and off, with the GFU cache on and off — rows, row order, folded float aggregates, per-query
   stats including the *logical* KV accounting, plans and traces modulo
   the stripped ``pyramid:*`` observability layer;
 * an appending workload keeps the identity while the incremental
@@ -29,13 +28,11 @@ from dataclasses import replace
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, TASK_CRASH
 from repro.hive.session import QueryOptions
-from repro.mapreduce.cluster import ExecutionConfig
 
 from tests.harness.differential import Workload, _assert_same, run_workload
-from tests.harness.pyramid import (PYRAMID_WORKERS, assert_pyramid_equivalent,
-                                   pyramid_view)
-from tests.harness.streaming import (STREAM_WORKERS, run_streaming_workload,
-                                     phase_rows, streaming_chaos_view)
+from tests.harness.pyramid import assert_pyramid_equivalent, pyramid_view
+from tests.harness.streaming import (run_streaming_workload, phase_rows,
+                                     streaming_chaos_view)
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -121,19 +118,12 @@ def test_pyramid_with_appends():
 
 def test_pyramid_streaming_phases():
     """Streaming deltas pre / mid (partial compaction) / post (full):
-    the pyramid run equals the pyramid-less run in every phase, at every
-    worker count, with demotion active while cells are resident."""
+    the pyramid run equals the pyramid-less run in every phase, with
+    demotion active while cells are resident."""
     baseline = pyramid_view(run_streaming_workload())
-    for workers in STREAM_WORKERS:
-        candidate = run_streaming_workload(
-            ExecutionConfig(max_workers=workers), pyramid=True)
-        _assert_same(baseline, pyramid_view(candidate),
-                     f"streaming pyramid max_workers={workers}")
-    cached = run_streaming_workload(cache=True, pyramid=True)
-    _assert_same(baseline, pyramid_view(cached),
-                 "streaming pyramid cache=True")
-    # Row content is stable across the three physical states too.
     pyramid_run = run_streaming_workload(pyramid=True)
+    _assert_same(baseline, pyramid_view(pyramid_run), "streaming pyramid")
+    # Row content is stable across the three physical states too.
     for phase in ("mid", "post"):
         assert phase_rows(pyramid_run, phase) == \
             phase_rows(pyramid_run, "pre")
@@ -142,7 +132,7 @@ def test_pyramid_streaming_phases():
 def test_pyramid_streaming_chaos():
     """Mid-query faults compose: chaos + streaming + pyramid equals the
     fault-free pyramid-less baseline modulo the fault and pyramid
-    observability layers; injections agree across worker counts."""
+    observability layers."""
     plan = FaultPlan(seed=FAULT_SEED,
                      task_crash_rate=0.25,
                      task_straggler_rate=0.2,
@@ -151,22 +141,12 @@ def test_pyramid_streaming_chaos():
                      scheduled=(FaultSpec(kind=TASK_CRASH, task_kind="map",
                                           task_id=0, attempt=0),))
     baseline = pyramid_view(streaming_chaos_view(run_streaming_workload()))
-    registries = []
-    for workers in STREAM_WORKERS:
-        injector = FaultInjector(plan)
-        fingerprint = run_streaming_workload(
-            ExecutionConfig(max_workers=workers), faults=injector,
-            pyramid=True)
-        _assert_same(baseline,
-                     pyramid_view(streaming_chaos_view(fingerprint)),
-                     f"streaming chaos pyramid max_workers={workers}")
-        registries.append(injector.registry)
-    first = registries[0]
-    assert sum(first.injected_counts().values()) > 0, (
-        "chaos runs injected nothing; the comparison is vacuous")
-    for registry in registries[1:]:
-        assert registry.injected_counts() == first.injected_counts()
-        assert registry.recovery_counts() == first.recovery_counts()
+    injector = FaultInjector(plan)
+    fingerprint = run_streaming_workload(faults=injector, pyramid=True)
+    _assert_same(baseline, pyramid_view(streaming_chaos_view(fingerprint)),
+                 "streaming chaos pyramid")
+    assert sum(injector.registry.injected_counts().values()) > 0, (
+        "chaos run injected nothing; the comparison is vacuous")
 
 
 def test_pyramid_workload_chaos():
@@ -180,13 +160,9 @@ def test_pyramid_workload_chaos():
     plan = FaultPlan(seed=FAULT_SEED + 1, task_crash_rate=0.2,
                      task_straggler_rate=0.15, kv_timeout_rate=0.1,
                      dead_datanodes=(1,))
-    for workers in (1, 8):
-        injector = FaultInjector(plan)
-        fingerprint = run_workload(
-            workload, ExecutionConfig(max_workers=workers),
-            faults=injector)
-        _assert_same(baseline, pyramid_view(chaos_view(fingerprint)),
-                     f"pyramid chaos max_workers={workers}")
+    fingerprint = run_workload(workload, faults=FaultInjector(plan))
+    _assert_same(baseline, pyramid_view(chaos_view(fingerprint)),
+                 "pyramid chaos")
 
 
 def test_forced_off_option_composes_with_mixed_batteries():
@@ -197,14 +173,12 @@ def test_forced_off_option_composes_with_mixed_batteries():
         for position, (sql, _options) in enumerate(QUERIES))
     workload = pyramid_workload(queries=mixed)
     flat = run_workload(replace(workload, pyramid_fanout=None))
-    for workers in PYRAMID_WORKERS:
-        candidate = run_workload(workload,
-                                 ExecutionConfig(max_workers=workers))
-        _assert_same(pyramid_view(flat), pyramid_view(candidate),
-                     f"mixed on/off battery max_workers={workers}")
-        for position in range(len(QUERIES)):
-            nodes = candidate[f"query:{position}"]["plan"]["index"] \
-                .get("pyramid_nodes", 0)
-            if position % 2 == 1:
-                assert nodes == 0, (
-                    f"query {position} forced off but used the pyramid")
+    candidate = run_workload(workload)
+    _assert_same(pyramid_view(flat), pyramid_view(candidate),
+                 "mixed on/off battery")
+    for position in range(len(QUERIES)):
+        nodes = candidate[f"query:{position}"]["plan"]["index"] \
+            .get("pyramid_nodes", 0)
+        if position % 2 == 1:
+            assert nodes == 0, (
+                f"query {position} forced off but used the pyramid")

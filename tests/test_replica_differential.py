@@ -7,8 +7,8 @@ pins — :mod:`repro.core.dgf.fleet`) and proves, via
 
 * each layout choice (cost-routed, forced primary, each fleet member) is
   byte-identical — rows, ``QueryStats``, structured plans, normalized
-  traces, global I/O and KV accounting — across ``max_workers`` {1,4,8}
-  and across the row and vectorized engines;
+  traces, global I/O and KV accounting — across the row and vectorized
+  engines;
 * all layout choices agree byte-for-byte on everything a query can
   observe (:func:`~tests.harness.replicas.logical_view`), with float
   aggregates honestly exact thanks to dyadic test data;
@@ -91,9 +91,9 @@ def fleet_session(rows=None, layouts=FLEET, faults=None) -> HiveSession:
 
 # ------------------------------------------------------------------ the sweep
 def test_full_replica_sweep():
-    """The headline acceptance: every layout choice byte-identical across
-    workers {1,4,8} and vectorized on/off; logical views byte-identical
-    across all choices."""
+    """The headline acceptance: every layout choice byte-identical with
+    vectorization on and off; logical views byte-identical across all
+    choices."""
     baselines = assert_replica_equivalent(fleet_workload())
     # The sweep covered the routed choice and all three named choices.
     assert set(baselines) == {None, "primary", "fine", "coarse"}
@@ -115,8 +115,7 @@ def test_append_keeps_every_layout_current():
                  "WHERE userid >= 198 AND userid <= 230 "
                  "ORDER BY userid, powerconsumed"),
         append_rows=extra)
-    baselines = assert_replica_equivalent(appended, worker_counts=(1, 4),
-                                          vectorized=False)
+    baselines = assert_replica_equivalent(appended, vectorized=False)
     # The appended region is actually visible through every layout.
     for choice, fingerprint in baselines.items():
         rows = fingerprint["query:2"]["rows"]
@@ -204,8 +203,7 @@ def test_midquery_layout_downgrade_differential():
     """ISSUE 8 satellite: the cheapest layout's datanode dies mid-query
     (the first query routes to the pinned layout, so its own scan job's
     start kills the node under it); the replanned run equals planning
-    around the outage, at every worker count, and the registry proves the
-    downgrade fired."""
+    around the outage, and the registry proves the downgrade fired."""
     workload = fleet_workload(queries=(POINT, GROUPBY, AGG))
     baseline, registry = assert_layout_chaos_equivalent(
         workload, _downgrade_plan(), dead_datanodes=(3,))
@@ -242,8 +240,7 @@ def test_rate_based_chaos_composes_with_fleet():
     plan = FaultPlan(seed=5, task_crash_rate=0.2, task_straggler_rate=0.2,
                      kv_timeout_rate=0.05)
     _baseline, registry = assert_chaos_equivalent(
-        fleet_workload(queries=(GROUPBY, ORDERED_SCAN)), plan,
-        worker_counts=(1, 4))
+        fleet_workload(queries=(GROUPBY, ORDERED_SCAN)), plan)
     assert sum(registry.injected_counts().values()) > 0
 
 
@@ -253,7 +250,6 @@ def test_vectorized_layout_downgrade():
     import os
     if os.environ.get("REPRO_VECTOR_DISABLE"):
         pytest.skip("REPRO_VECTOR_DISABLE is set for this run")
-    from repro.mapreduce.cluster import ExecutionConfig
     from tests.harness.replicas import replica_chaos_view
     from tests.harness.vector import vector_view
 
@@ -262,7 +258,7 @@ def test_vectorized_layout_downgrade():
         workload, faults=FaultInjector(
             FaultPlan(seed=0, dead_datanodes=(3,))))))
     candidate = vector_view(replica_chaos_view(run_workload(
-        workload, ExecutionConfig(max_workers=4, vectorized=True),
+        workload, vectorized=True,
         faults=FaultInjector(_downgrade_plan()))))
     row_candidate = vector_view(replica_chaos_view(run_workload(
         workload, faults=FaultInjector(_downgrade_plan()))))

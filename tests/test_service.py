@@ -156,15 +156,10 @@ class TestObservability:
         histogram = session.metrics.histogram("service_queue_wait_seconds")
         assert histogram.count() == 3
 
-    def test_workers_default_from_execution_config(self):
-        from repro.mapreduce.cluster import ExecutionConfig
-        session = _dgf_session()
-        service = QueryService(session,
-                               execution=ExecutionConfig(max_workers=3))
-        try:
-            assert service.max_workers == 3
-        finally:
-            service.close()
+    def test_workers_default_to_one(self):
+        with QueryService(_dgf_session()) as service:
+            assert service.max_workers == 1
+            assert len(service.run_all([MDRQ, MDRQ])) == 2
 
 
 BAD_SQL = "SELECT no_such_column FROM meterdata"

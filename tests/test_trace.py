@@ -1,12 +1,12 @@
 """Query-lifecycle tracing: span API, JSON schema, EXPLAIN ANALYZE,
-cross-worker determinism, sim-time reconciliation, and overhead."""
+determinism across service workers, sim-time reconciliation, and
+overhead."""
 
 import json
 import time
 
 import pytest
 
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.mapreduce.cost import TimeBreakdown
 from repro.obs.trace import (NULL_SPAN, NULL_TRACER, Span, Trace, Tracer,
                              TRACE_SCHEMA, TRACE_VERSION, validate_trace)
@@ -22,8 +22,8 @@ DGF_INDEX = ("CREATE INDEX dgf_idx ON TABLE meterdata"
              "'precompute'='sum(powerconsumed),count(*)')")
 
 
-def dgf_meter_session(execution=None):
-    session = make_session(execution=execution)
+def dgf_meter_session():
+    session = make_session()
     session.execute(METER_DDL)
     rows = meter_rows()
     half = len(rows) // 2
@@ -228,15 +228,14 @@ class TestSessionTraces:
         assert Trace.from_json(trace.to_json()).to_json() == trace.to_json()
 
     def test_normalized_trace_identical_across_workers(self):
-        baseline = None
-        for workers in (1, 8):
-            session = dgf_meter_session(
-                execution=ExecutionConfig(max_workers=workers))
-            normalized = session.execute(MDRQ, SCAN).trace.normalized_json()
-            if baseline is None:
-                baseline = normalized
-            else:
-                assert normalized == baseline
+        """A statement run alone and the same statement run four times at
+        once on query-service worker threads normalize identically."""
+        from repro.service.queryservice import QueryService
+        alone = dgf_meter_session().execute(MDRQ, SCAN).trace
+        with QueryService(dgf_meter_session(), max_workers=4) as service:
+            served = service.run_all([(MDRQ, SCAN)] * 4)
+        for result in served:
+            assert result.trace.normalized_json() == alone.normalized_json()
 
     def test_disabled_tracer_gives_no_trace_and_same_answer(self):
         traced = dgf_meter_session()

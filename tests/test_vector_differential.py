@@ -1,8 +1,7 @@
 """Row-vs-vector differential suite (ISSUE 6 acceptance).
 
-Generated MDRQ sessions and fixed stress workloads are replayed with
-``ExecutionConfig(vectorized=True)`` at ``max_workers`` 1, 4 and 8 and
-must be byte-identical to the row engine: result rows and row order,
+Generated MDRQ sessions and fixed stress workloads are replayed on a
+``vectorized=True`` session and must be byte-identical to the row engine: result rows and row order,
 folded float aggregates, QueryStats, simulated cost-model seconds,
 global ``fs_io``/``kv_ops`` totals, and normalized traces modulo the
 strippable ``vector.*`` observability layer (tests.harness.vector).
@@ -29,12 +28,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.faults import TASK_CRASH, FaultPlan, FaultSpec
-from repro.mapreduce.cluster import ExecutionConfig
 from repro.vector import runtime
 
 from tests.conftest import SCAN
 from tests.harness.differential import Workload, _assert_same, run_workload
-from tests.harness.vector import (VECTOR_WORKERS, assert_vector_equivalent,
+from tests.harness.vector import (assert_vector_equivalent,
                                   assert_vector_chaos_equivalent)
 from tests.test_engine_equivalence import (DAYS, METER_DDL,
                                            TestDgfStressParallel, index_sql,
@@ -68,7 +66,7 @@ def trace_counter_total(fingerprint, name):
 def test_mdrq_sessions_vectorized(workload):
     """Generated MDRQ sessions — load, DGF build, every planner path —
     fingerprint identically between the row and vector engines."""
-    baseline = assert_vector_equivalent(workload, VECTOR_WORKERS)
+    baseline = assert_vector_equivalent(workload)
     assert baseline["query:0"]["index_used"]
     assert not baseline["query:1"]["index_used"]
 
@@ -86,7 +84,7 @@ def test_stress_queries_vectorized():
             ("userinfo",
              "CREATE TABLE userinfo (userid bigint, username string)",
              tuple((u, f"user{u}") for u in range(80))),))
-    baseline = assert_vector_equivalent(workload, VECTOR_WORKERS)
+    baseline = assert_vector_equivalent(workload)
     assert baseline["query:6"]["rows"] == [(480,)]
 
 
@@ -107,7 +105,7 @@ def test_rcfile_sessions_vectorized():
                         rows=stress_rows(), queries=queries,
                         index_sql=index_sql(10), index_name="d",
                         block_size=2048, load_files=2)
-    assert_vector_equivalent(workload, VECTOR_WORKERS)
+    assert_vector_equivalent(workload)
 
 
 def test_sequencefile_stays_on_row_engine():
@@ -119,8 +117,7 @@ def test_sequencefile_stays_on_row_engine():
                         rows=stress_rows()[:200], queries=queries,
                         index_sql=None)
     baseline = run_workload(workload)
-    candidate = run_workload(
-        workload, ExecutionConfig(max_workers=4, vectorized=True))
+    candidate = run_workload(workload, vectorized=True)
     _assert_same(baseline, candidate, "sequencefile vectorized=True")
     assert "vectorized" not in candidate["query:0"]["description"]
 
@@ -158,10 +155,9 @@ def test_fallback_classes_byte_identical(label, sql):
     workload = Workload(table="meterdata", ddl=METER_DDL,
                         rows=stress_rows()[:240], queries=((sql, SCAN),),
                         index_sql=None)
-    assert_vector_equivalent(workload, (1, 4))
+    assert_vector_equivalent(workload)
     if HAVE_NUMPY:
-        fingerprint = run_workload(
-            workload, ExecutionConfig(vectorized=True))
+        fingerprint = run_workload(workload, vectorized=True)
         assert "vectorized: true" in fingerprint["query:0"]["description"]
         assert trace_counter_total(fingerprint, "vector.batches") > 0
         assert trace_counter_total(fingerprint, "vector.fallback_rows") > 0
@@ -177,10 +173,9 @@ def test_mixed_plan_partial_fallback():
     workload = Workload(table="meterdata", ddl=METER_DDL,
                         rows=stress_rows(), queries=((sql, SCAN),),
                         index_sql=None)
-    assert_vector_equivalent(workload, (1, 8))
+    assert_vector_equivalent(workload)
     if HAVE_NUMPY:
-        fingerprint = run_workload(
-            workload, ExecutionConfig(vectorized=True))
+        fingerprint = run_workload(workload, vectorized=True)
         fallback = trace_counter_total(fingerprint, "vector.fallback_rows")
         read = fingerprint["query:0"]["records_read"]
         matched = fingerprint["query:0"]["records_matched"]
@@ -209,8 +204,7 @@ def test_vectorized_under_chaos_matches_row_engine():
                      kv_timeout_rate=0.15, dead_datanodes=(2,),
                      scheduled=(FaultSpec(kind=TASK_CRASH, task_kind="map",
                                           task_id=0, attempt=0),))
-    _baseline, registry = assert_vector_chaos_equivalent(
-        workload, plan, VECTOR_WORKERS)
+    _baseline, registry = assert_vector_chaos_equivalent(workload, plan)
     assert sum(registry.injected_counts().values()) > 0
 
 
@@ -230,9 +224,6 @@ def test_disable_env_is_full_row_fallback(monkeypatch):
     baseline = run_workload(workload)
     monkeypatch.setenv(runtime.DISABLE_ENV, "1")
     assert not runtime.numpy_available()
-    for workers in (1, 4):
-        candidate = run_workload(
-            workload, ExecutionConfig(max_workers=workers, vectorized=True))
-        _assert_same(baseline, candidate,
-                     f"REPRO_VECTOR_DISABLE max_workers={workers}")
-        assert "vectorized" not in candidate["query:0"]["description"]
+    candidate = run_workload(workload, vectorized=True)
+    _assert_same(baseline, candidate, "REPRO_VECTOR_DISABLE")
+    assert "vectorized" not in candidate["query:0"]["description"]
